@@ -1,8 +1,10 @@
 """Adversarial traffic and the per-node load budget rho*|tau| + b.
 
-Generates admissible traffic with the token-bucket generator, verifies it
-with the interval checker, then mutates the trace with a burst that
-exceeds the single-round budget and shows the verifier's witness.
+Generates admissible traffic and verifies it; the generator and the
+verifier share one exact per-node load envelope, and the all-intervals
+oracle checks the verdict.  Then a burst that exceeds the single-round
+budget is appended, and the verifier names the node, interval and load
+that break it.
 """
 
 from fractions import Fraction

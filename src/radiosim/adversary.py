@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .conflict import (Tour, conflict_node_set, format_tour, parse_tour_line,
                        validate_tour)
@@ -143,29 +143,61 @@ class Violation:
                 f"load {self.load} > budget {self.budget}")
 
 
+class _LoadEnvelope:
+    """Exact per-node (rho, b) load envelope in integers, with rho = p/q.
+
+    A node's level is the maximum of q*load(tau) - p*|tau| over intervals
+    tau ending at the node's last conflict round; other intervals are
+    dominated, so the node is within rho*|tau| + b iff level <= q*b.
+    Adding c tours in round r is Kadane's maximum-subarray step
+    level = q*c - p + max(0, level - p*(r - last - 1)), which also holds
+    for r == last.  A node is kept as (level, last, start, load) with
+    [start, last] the maximising interval; untouched nodes cost nothing."""
+
+    def __init__(self, adv: AdversaryType):
+        self.p, self.q = adv.rho.numerator, adv.rho.denominator
+        self.cap = self.q * adv.b
+        self.nodes: dict[int, tuple[int, int, int, int]] = {}
+
+    def _advanced(self, v: int, r: int, c: int) -> tuple[int, int, int, int]:
+        level, last, start, load = self.nodes.get(v, (0, 0, 0, 0))
+        carry = level - self.p * (r - last - 1)
+        if carry > 0:
+            return self.q * c - self.p + carry, r, start, load + c
+        return self.q * c - self.p, r, r, c
+
+    def headroom(self, v: int, r: int) -> int:
+        """How many more tours node v admits in round r."""
+        return (self.cap - self._advanced(v, r, 0)[0]) // self.q
+
+    def add(self, v: int, r: int, c: int = 1) -> bool:
+        """Add c tours in round r at node v; False if v is then over budget."""
+        self.nodes[v] = state = self._advanced(v, r, c)
+        return state[0] <= self.cap
+
+    def witness(self, v: int) -> Violation:
+        _, last, start, load = self.nodes[v]
+        return Violation("load", node=v, interval=(start, last), load=load,
+                         budget=Fraction(self.p * (last - start + 1) + self.cap,
+                                         self.q))
+
+
 def verify_admissible(net: Network, trace: InjectionTrace,
                       adv: AdversaryType) -> Violation | None:
     """None if the trace is admissible for the type, else a witness.
 
-    Only intervals whose endpoints are injection rounds of tours
-    conflicting with the node are checked: between such rounds the load
-    is constant while the budget grows, so these intervals dominate.
-    """
+    One pass over the rounds through the load envelope, checking nodes once
+    their round is complete, so a witness counts every tour of its end round."""
     for f in trace.injections:
         validate_tour(net, f)
         if f.length > adv.L:
             return Violation("stretch", tour_id=f.id)
-    ledger = LoadLedger(net, trace)
-    for v in net.nodes():
-        rounds = ledger.rounds[v]
-        distinct = sorted(set(rounds))
-        for i, a in enumerate(distinct):
-            for b_end in distinct[i:]:
-                load = bisect_right(rounds, b_end) - bisect_left(rounds, a)
-                budget = adv.rho * (b_end - a + 1) + adv.b
-                if load > budget:
-                    return Violation("load", node=v, interval=(a, b_end),
-                                     load=load, budget=budget)
+    envelope = _LoadEnvelope(adv)
+    for r, tours in trace.by_round().items():
+        counts = Counter(v for f in tours for v in conflict_node_set(net, f))
+        for v in sorted(counts):
+            if not envelope.add(v, r, counts[v]):
+                return envelope.witness(v)
     return None
 
 
@@ -191,33 +223,6 @@ def verify_admissible_all_intervals(net: Network, trace: InjectionTrace,
                     return Violation("load", node=v, interval=(a, b_end),
                                      load=load, budget=budget)
     return None
-
-
-class _TokenBuckets:
-    """Exact per-node admission control for the interval constraint.
-
-    A node's headroom starts at b + rho, loses 1 per admitted conflicting
-    tour, and refills between rounds as min(tokens, b) + rho.  Admitting a
-    tour whenever every conflicting node has headroom >= 1 yields exactly
-    the traces admissible for (rho, b, .).
-    """
-
-    def __init__(self, net: Network, adv: AdversaryType):
-        self.adv = adv
-        self.tokens: dict[int, Fraction] = {
-            v: adv.rho + adv.b for v in net.nodes()}
-
-    def refill(self) -> None:
-        b = self.adv.b
-        for v in self.tokens:
-            self.tokens[v] = min(self.tokens[v], Fraction(b)) + self.adv.rho
-
-    def admits(self, nodes: Iterable[int]) -> bool:
-        return all(self.tokens[v] >= 1 for v in nodes)
-
-    def consume(self, nodes: Iterable[int]) -> None:
-        for v in nodes:
-            self.tokens[v] -= 1
 
 
 def _random_simple_path(net: Network, rng: random.Random, max_len: int) -> tuple[int, ...]:
@@ -247,20 +252,19 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     if horizon < 0:
         raise AdversaryError(f"horizon must be >= 0, got {horizon}")
     rng = random.Random(seed)
-    buckets = _TokenBuckets(net, adv)
+    envelope = _LoadEnvelope(adv)
     tours: list[Tour] = []
     next_id = start_id
     for r in range(1, horizon + 1):
-        if r > 1:
-            buckets.refill()
         for _ in range(attempts_per_round):
             path = _random_simple_path(net, rng, adv.L)
             if len(path) < 2:
                 continue
             candidate = Tour(next_id, r, path)
             hit = conflict_node_set(net, candidate)
-            if buckets.admits(hit):
-                buckets.consume(hit)
+            if all(envelope.headroom(v, r) > 0 for v in hit):
+                for v in hit:
+                    envelope.add(v, r)
                 tours.append(candidate)
                 next_id += 1
     return InjectionTrace(tuple(tours), horizon)
@@ -286,24 +290,21 @@ def gen_unbalanced_clique(adv: AdversaryType, n: int, t: int,
 
     net = make_clique(n)
     per_interval = math.floor(adv.rho * t)
-    buckets = _TokenBuckets(net, adv)
-    # on a clique every positive-length tour conflicts with every node,
-    # so one shared bucket level governs admission
+    envelope = _LoadEnvelope(adv)
+    # on a clique every tour conflicts with every node: node 1 stands for all
     tours: list[Tour] = []
     next_id = 1
     intervals = horizon // t
     for k in range(1, intervals + 1):
         quota = per_interval + (adv.b if k == 1 else 0)
         for r in range((k - 1) * t + 1, k * t + 1):
-            if r > 1:
-                buckets.refill()
-            allow = min(quota, math.floor(buckets.tokens[1]))
+            allow = min(quota, envelope.headroom(1, r))
             for _ in range(allow):
                 start = (next_id - 1) % n
                 path = tuple(((start + i) % n) + 1 for i in range(adv.L + 1))
                 tours.append(Tour(next_id, r, path))
                 next_id += 1
-                buckets.consume(net.nodes())
+            envelope.add(1, r, allow)
             quota -= allow
     return net, InjectionTrace(tuple(tours), horizon)
 
@@ -333,7 +334,7 @@ def parse_trace(text: str) -> tuple[AdversaryType, InjectionTrace]:
                 raise AdversaryError(f"line {lineno}: expected `adv <rho> <b> <L>`")
             try:
                 adv = AdversaryType(Fraction(parts[1]), int(parts[2]), int(parts[3]))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise AdversaryError(f"line {lineno}: {exc}") from None
         elif parts[0] == "t":
             tours.append(parse_tour_line(line, lineno))

@@ -63,7 +63,12 @@ def parse_gossip(spec: str) -> ogf.GossipConfig:
     if spec == "tdma":
         return ogf.GossipConfig.tdma()
     if spec.startswith("oracle:"):
-        return ogf.GossipConfig.oracle(int(spec.split(":", 1)[1]))
+        try:
+            s_n = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ogf.OgfError(
+                f"bad gossip spec {spec!r}: S_n must be an integer") from None
+        return ogf.GossipConfig.oracle(s_n)
     raise ogf.OgfError(f"bad gossip spec {spec!r}; use tdma or oracle:<S_n>")
 
 
@@ -191,9 +196,10 @@ def cmd_instability(args) -> int:
         metrics = engine.run(net, engine.RoundRobin(), trace, horizon)
     else:
         window = args.window if args.window else 2 * net.n * (net.n - 1)
+        gossip = parse_gossip(args.gossip)
         try:
-            result = ogf.run_ogf(net, adv, parse_gossip(args.gossip), trace,
-                                 horizon, window_override=window, strict=False)
+            result = ogf.run_ogf(net, adv, gossip, trace, horizon,
+                                 window_override=window, strict=False)
         except ogf.OgfError as exc:
             print(f"FAIL during run: {exc}", file=sys.stderr)
             return EXIT_SCIENCE
@@ -242,7 +248,11 @@ def cmd_ogf(args) -> int:
             print(f"error: loaded trace inadmissible: {violation}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        scale = Fraction(args.gen_scale)
+        try:
+            scale = Fraction(args.gen_scale)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise adversary.AdversaryError(
+                f"bad --gen-scale {args.gen_scale!r}: {exc}") from None
         if not 0 < scale <= 1:
             print(f"error: --gen-scale must be in (0, 1], got {scale}",
                   file=sys.stderr)

@@ -86,19 +86,32 @@ def conflict_node_set(net: Network, tour: Tour) -> frozenset[int]:
     return frozenset(nodes)
 
 
+_Sets = tuple[frozenset[int], frozenset[int]]
+
+
+def _conflict_sets(net: Network, tour: Tour) -> _Sets:
+    """The tour's non-destination nodes and its conflict_node_set."""
+    return frozenset(tour.path[:-1]), conflict_node_set(net, tour)
+
+
+def _sets_conflict(a: _Sets, b: _Sets) -> bool:
+    """The tour-conflict predicate on pairs made by _conflict_sets: a
+    non-destination node of one tour lies in the other's conflict_node_set.
+
+    A shared node x needs no clause of its own.  If x is a non-destination
+    node of one tour, it lies in the other's conflict_node_set, which
+    contains the other's path.  If x is the destination of both, x's
+    predecessor on one tour neighbours x, the head of the other's last link.
+    """
+    return not (a[0].isdisjoint(b[1]) and b[0].isdisjoint(a[1]))
+
+
 def tours_conflict(net: Network, f0: Tour, f1: Tour) -> bool:
     """True iff the tours share a node or a non-destination node of one
     conflicts with the other."""
     validate_tour(net, f0)
     validate_tour(net, f1)
-    if set(f0.path) & set(f1.path):
-        return True
-    for a, b in ((f0, f1), (f1, f0)):
-        # every node of a except its destination
-        for x in a.path[:-1]:
-            if any(node_link_conflicts(net, x, link) for link in b.links()):
-                return True
-    return False
+    return _sets_conflict(_conflict_sets(net, f0), _conflict_sets(net, f1))
 
 
 class ConflictGraph:
@@ -129,32 +142,19 @@ class ConflictGraph:
 
 
 def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
-    """Pairwise conflict check over the tour set.
-
-    Each tour is validated once; the pair test uses per-tour node sets and
-    conflict-node sets, which is the same predicate as tours_conflict
-    (conflict_node_set(f) is exactly the set of nodes that conflict with f).
-    """
+    """Pairwise tours_conflict over the tour set, with each tour validated
+    and its conflict sets built once."""
     tour_list = sorted(tours, key=lambda f: f.id)
     ids = [f.id for f in tour_list]
     if len(set(ids)) != len(ids):
         raise TourError(f"duplicate tour ids in {ids}")
-    nodes = []
-    non_dest = []
-    conflicts_with = []
     for f in tour_list:
         validate_tour(net, f)
-        nodes.append(frozenset(f.path))
-        non_dest.append(frozenset(f.path[:-1]))
-        conflicts_with.append(conflict_node_set(net, f))
-    edges = set()
-    for i in range(len(tour_list)):
-        for j in range(i + 1, len(tour_list)):
-            if (nodes[i] & nodes[j]
-                    or non_dest[i] & conflicts_with[j]
-                    or non_dest[j] & conflicts_with[i]):
-                edges.add((tour_list[i].id, tour_list[j].id))
-    return ConflictGraph(frozenset(ids), frozenset(edges))
+    sets = [_conflict_sets(net, f) for f in tour_list]
+    k = len(tour_list)
+    edges = frozenset((ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)
+                      if _sets_conflict(sets[i], sets[j]))
+    return ConflictGraph(frozenset(ids), edges)
 
 
 def max_degree(cg: ConflictGraph) -> int:

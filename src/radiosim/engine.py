@@ -248,10 +248,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     for tour in trace.injections:
         validate_tour(net, tour)
 
-    by_round: dict[int, list[Tour]] = {}
-    for tour in trace.injections:
-        by_round.setdefault(tour.injection_round, []).append(tour)
-
+    by_round = trace.by_round()
     states = {v: NodeState(v, net.n) for v in net.nodes()}
     algorithm.on_run_start(net, states)
 
@@ -259,7 +256,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     delivered_ids: set[int] = set()
 
     for r in range(1, horizon + 1):
-        for tour in sorted(by_round.get(r, []), key=lambda f: f.id):
+        for tour in by_round.get(r, ()):
             src = states[tour.source]
             if tour.id in src.queue or tour.id in delivered_ids:
                 raise EngineError(f"duplicate injection of tour {tour.id}")
@@ -297,8 +294,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                 del states[out.sender].queue[f.id]
                 if p + 1 == len(f.path) - 1:
                     latency = r - f.injection_round
-                    assert latency >= f.length - 1, \
-                        f"tour {f.id}: latency {latency} below links-1"
+                    if latency < f.length - 1:
+                        raise EngineError(
+                            f"tour {f.id}: latency {latency} below links-1")
                     metrics.deliveries.append(
                         Delivery(f.id, f.injection_round, r, latency, f.length))
                     delivered_ids.add(f.id)
@@ -316,7 +314,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             q = len(states[v].queue)
             if q > metrics.max_queue_per_node[v]:
                 metrics.max_queue_per_node[v] = q
-        assert metrics.injected_total == len(metrics.deliveries) + backlog, \
-            "conservation violated: injected != delivered + queued"
+        if metrics.injected_total != len(metrics.deliveries) + backlog:
+            raise EngineError("conservation violated: injected != delivered + queued")
 
     return metrics

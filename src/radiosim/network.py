@@ -153,6 +153,13 @@ def format_network(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise NetworkError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_network(text: str) -> Network:
     """Parse the text format produced by format_network.
 
@@ -171,13 +178,13 @@ def parse_network(text: str) -> Network:
                 raise NetworkError(f"line {lineno}: repeated node-count line")
             if len(parts) != 2:
                 raise NetworkError(f"line {lineno}: expected `n <count>`")
-            n = int(parts[1])
+            n = _parse_int(parts[1], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise NetworkError(f"line {lineno}: edge before node-count line")
             if len(parts) != 3:
                 raise NetworkError(f"line {lineno}: expected `e <u> <v>`")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_parse_int(parts[1], lineno), _parse_int(parts[2], lineno)))
         else:
             raise NetworkError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:

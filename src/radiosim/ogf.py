@@ -75,7 +75,8 @@ def compute_window_bound(adv: AdversaryType, s_n: int) -> int:
     if denom <= 0:
         raise OgfError(f"window bound undefined: rho*L = {adv.rho * adv.L} >= 1")
     u = math.ceil(Fraction(s_n + adv.b * adv.L) / denom)
-    assert s_n + (adv.rho * u + adv.b) * adv.L <= u
+    if s_n + (adv.rho * u + adv.b) * adv.L > u:
+        raise OgfError(f"window bound u = {u} fails S(n) + (rho*u + b)*L <= u")
     return u
 
 

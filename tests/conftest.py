@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from radiosim import Network, Tour, build_network, make_random_connected
+from radiosim import (LoadLedger, Network, Tour, build_network,
+                      make_random_connected, node_load)
 
 # node names within the crossed ring
 R, S, U, W = 1, 2, 3, 4
@@ -69,3 +70,14 @@ def random_tours(net: Network, rng: random.Random, count: int,
 def random_network(rng: random.Random, max_n: int = 6) -> Network:
     n = rng.randint(2, max_n)
     return make_random_connected(n, rng.random(), rng.randrange(10**9))
+
+
+def assert_genuine_witness(net, trace, adv, violation):
+    """A load witness must name a real interval whose load exceeds its budget."""
+    if violation is None or violation.kind != "load":
+        return
+    start, end = violation.interval
+    ledger = LoadLedger(net, trace)
+    assert node_load(ledger, violation.node, violation.interval) == violation.load
+    assert violation.budget == adv.rho * (end - start + 1) + adv.b
+    assert violation.load > violation.budget

@@ -24,7 +24,8 @@ from radiosim import (LISTEN, AdversaryType, COLLISION, GossipConfig, Heard,
                       make_path, make_random_connected, optimal_sls_length,
                       run, run_ogf, step, tours_conflict, verify_admissible,
                       verify_admissible_all_intervals)
-from conftest import RING4_CONFLICT_EDGES, random_simple_path
+from conftest import (RING4_CONFLICT_EDGES, assert_genuine_witness,
+                      random_simple_path)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -338,6 +339,7 @@ def test_c7_verifier_against_all_intervals_oracle():
         assert (fast is None) == (slow is None), (net.edges, adv, trace)
         if fast is not None:
             violations_seen += 1
+            assert_genuine_witness(net, trace, adv, fast)
         traces += 1
     assert violations_seen > 10
     report("C7 admissibility verifier vs oracle",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ import pytest
 from radiosim import (AdversaryError, AdversaryType, Balance, InjectionTrace,
                       LoadLedger, Tour, classify, format_trace, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_path,
-                      node_load, parse_trace, verify_admissible,
+                      make_random_connected, node_load, parse_trace, verify_admissible,
                       verify_admissible_all_intervals)
-from conftest import random_network
+from conftest import assert_genuine_witness, random_network
 
 
 def _adv(num, den, b, L):
@@ -133,6 +134,7 @@ def test_fast_verifier_matches_slow_oracle():
         fast = verify_admissible(net, trace, adv)
         slow = verify_admissible_all_intervals(net, trace, adv)
         assert (fast is None) == (slow is None)
+        assert_genuine_witness(net, trace, adv, fast)
         agreements += 1
     assert agreements == 60
 
@@ -178,7 +180,38 @@ def test_gen_balanced_always_admissible():
             assert 1 <= f.length <= adv.L
 
 
+def _trace_digest(adv, trace):
+    return hashlib.sha256(format_trace(adv, trace).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("net, adv, seed, horizon, attempts, count, digest", [
+    (make_path(8), _adv(1, 6, 2, 2), 11, 400, 1, 148,
+     "0bb9c7a7eeee50fdebde029f9b32e874d37290765665897a38968e2e9fd985ca"),
+    (make_clique(6), _adv(1, 8, 1, 3), 12, 300, 2, 38,
+     "c40111b8f0095d9a604145cb89a4047f0415129619356143344f3ad966777ffb"),
+    (make_random_connected(12, 0.3, 5), _adv(1, 5, 1, 3), 13, 500, 2, 103,
+     "abb65e4fb195883ea6f4436e935402bd9bc94223d23cf1f1972ff351c85a9009"),
+    (make_random_connected(20, 0.15, 7), _adv(1, 4, 3, 2), 14, 300, 1, 137,
+     "3ccbbdbd546a23045bd28184ee66ce77d3ca6f881d0ea85a6bf505b49881fa09"),
+], ids=["path8", "clique6", "random12", "random20"])
+def test_gen_balanced_traces_pinned(net, adv, seed, horizon, attempts, count,
+                                    digest):
+    # the seeded CSVs depend on these exact traces
+    trace = gen_balanced(net, adv, seed, horizon, attempts_per_round=attempts)
+    assert len(trace.injections) == count
+    assert _trace_digest(adv, trace) == digest
+
+
 # ------------------------------------------------------------- unbalanced gen
+
+
+def test_unbalanced_clique_trace_pinned():
+    adv = _adv(1, 2, 1, 3)
+    _, trace = gen_unbalanced_clique(adv, n=6, t=2, horizon=2000)
+    assert len(trace.injections) == 1001
+    assert _trace_digest(adv, trace) == (
+        "d61cbeaf55221e8f72860ea82b7543633f96ea84c1483d29ffaafb59a8c3851c")
+
 
 
 def test_unbalanced_clique_interval_counts():
@@ -270,3 +303,5 @@ def test_trace_parse_errors():
         parse_trace("adv 1/2 1 1\nz\n")
     with pytest.raises(AdversaryError, match="expected"):
         parse_trace("adv 1/2 1\n")
+    with pytest.raises(AdversaryError, match="line 1"):
+        parse_trace("adv 1/0 1 1\n")

@@ -95,6 +95,12 @@ def test_instability_ogf_forced_window(capsys):
     assert "growing" in capsys.readouterr().out
 
 
+def test_instability_malformed_gossip_is_usage_error(capsys):
+    assert run_cli("instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
+                   "--intervals", "3", "--algorithm", "ogf",
+                   "--gossip", "oracle:x") == EXIT_USAGE
+
+
 def test_instability_rejects_balanced_type(capsys):
     assert run_cli("instability", "--adv", "1/8:1:2", "--n", "6",
                    "--t", "2") == EXIT_USAGE
@@ -136,6 +142,26 @@ def test_ogf_loads_trace_file(tmp_path, capsys):
     code = run_cli("ogf", "--network", str(netfile), "--adv", "1/8:1:2",
                    "--trace", str(tracefile), "--horizon", "120")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("option", [("--gossip", "oracle:x"),
+                                    ("--gen-scale", "abc")])
+def test_ogf_malformed_option_is_usage_error(option, capsys):
+    code = run_cli("ogf", "--network", "gen:path:4", "--adv", "1/8:1:2",
+                   "--horizon", "10", *option)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["n abc\n", "n 3\ne 1 x\n"])
+def test_malformed_network_file_is_usage_error(tmp_path, capsys, text):
+    netfile = tmp_path / "net.txt"
+    netfile.write_text(text)
+    assert run_cli("ogf", "--network", str(netfile),
+                   "--adv", "1/8:1:2") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- verify-trace
