@@ -241,8 +241,7 @@ def _random_simple_path(net: Network, rng: random.Random, max_len: int) -> tuple
 
 
 def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
-                 attempts_per_round: int = 1,
-                 start_id: int = 1) -> InjectionTrace:
+                 attempts_per_round: int = 1) -> InjectionTrace:
     """Greedy admissible traffic: random candidate tours admitted whenever
     every conflicting node's budget allows.  Deterministic in all arguments;
     the output always passes verify_admissible.
@@ -251,10 +250,13 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
         raise AdversaryError(f"gen_balanced needs a balanced type, got {adv}")
     if horizon < 0:
         raise AdversaryError(f"horizon must be >= 0, got {horizon}")
+    if attempts_per_round < 0:
+        raise AdversaryError(
+            f"attempts per round must be >= 0, got {attempts_per_round}")
     rng = random.Random(seed)
     envelope = _LoadEnvelope(adv)
     tours: list[Tour] = []
-    next_id = start_id
+    next_id = 1
     for r in range(1, horizon + 1):
         for _ in range(attempts_per_round):
             path = _random_simple_path(net, rng, adv.L)

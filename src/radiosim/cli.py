@@ -30,6 +30,7 @@ EXIT_SCIENCE = 1
 EXIT_USAGE = 2
 
 SUMMARY_HEADER = "scenario,seed,n,rho,b,L,u,max_latency,max_queue,verdict"
+GROWTH_SLOPE = 0.01  # backlog per round
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -76,7 +77,7 @@ def parse_gossip(spec: str) -> ogf.GossipConfig:
 class StabilityVerdict:
     """Finite-run heuristic for an asymptotic property: `growing` needs the
     backlog timeline's linear-fit slope over the final half of the run to
-    exceed the threshold.  The instability scenario's pass/fail rests on
+    exceed GROWTH_SLOPE.  The instability scenario's pass/fail rests on
     the exact counting bound, never on this heuristic."""
 
     classification: str  # "bounded" | "growing"
@@ -85,14 +86,13 @@ class StabilityVerdict:
     run_length: int
 
     @classmethod
-    def from_backlog(cls, backlog: list[int],
-                     slope_threshold: float = 0.01) -> "StabilityVerdict":
+    def from_backlog(cls, backlog: list[int]) -> "StabilityVerdict":
         tail = backlog[len(backlog) // 2:]
         if len(tail) >= 2 and len(set(tail)) > 1:
             slope, _ = statistics.linear_regression(range(len(tail)), tail)
         else:
             slope = 0.0
-        growing = slope > slope_threshold
+        growing = slope > GROWTH_SLOPE
         return cls("growing" if growing else "bounded",
                    max(backlog, default=0), slope, len(backlog))
 
@@ -134,6 +134,8 @@ def _one_link_tours_from_file(path: str) -> list[conflict.Tour]:
 
 def _gen_one_link_tours(net: network.Network, count: int, seed: int) -> list[conflict.Tour]:
     import random
+    if count < 0:
+        raise conflict.TourError(f"tour count must be >= 0, got {count}")
     rng = random.Random(derive_seed(seed, "sls-tours"))
     edges = sorted(net.edges)
     tours = []

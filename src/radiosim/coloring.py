@@ -17,6 +17,9 @@ from . import engine
 from .conflict import ConflictGraph, Tour, validate_tour
 from .network import Network
 
+EXACT_CHROMATIC_CAP = 16  # vertices
+BRUTE_FORCE_CAP = 10  # tours
+
 
 class ColoringError(ValueError):
     """Raised for improper colorings or oversized exact-solver inputs."""
@@ -75,11 +78,11 @@ def _greedy_clique(cg: ConflictGraph) -> list[int]:
     return clique
 
 
-def exact_chromatic(cg: ConflictGraph, cap: int = 16) -> int:
-    """Exact chromatic number by branch and bound (test oracle, <= cap vertices)."""
-    if len(cg.vertices) > cap:
-        raise ColoringError(
-            f"exact_chromatic capped at {cap} vertices, got {len(cg.vertices)}")
+def exact_chromatic(cg: ConflictGraph) -> int:
+    """Exact chromatic number by branch and bound; a test oracle for small graphs."""
+    if len(cg.vertices) > EXACT_CHROMATIC_CAP:
+        raise ColoringError(f"exact_chromatic capped at {EXACT_CHROMATIC_CAP} "
+                            f"vertices, got {len(cg.vertices)}")
     if not cg.vertices:
         return 0
     lower = max(len(_greedy_clique(cg)), 1)
@@ -163,8 +166,7 @@ def verify_schedule(net: Network, tours: Iterable[Tour], sched: Schedule) -> boo
     return all(_round_delivers(net, group) for group in rounds.values())
 
 
-def optimal_sls_length(net: Network, tours: Iterable[Tour],
-                       max_tours: int = 10) -> int:
+def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     """Minimum number of rounds to deliver all one-link tours, by exhaustive
     search over schedules with increasing length.
 
@@ -179,9 +181,9 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour],
         if f.length != 1:
             raise ColoringError(f"tour {f.id} has length {f.length}; "
                                 "SLS instances use one-link tours only")
-    if len(tour_list) > max_tours:
+    if len(tour_list) > BRUTE_FORCE_CAP:
         raise ColoringError(
-            f"brute force capped at {max_tours} tours, got {len(tour_list)}")
+            f"brute force capped at {BRUTE_FORCE_CAP} tours, got {len(tour_list)}")
     if not tour_list:
         return 0
 

@@ -115,21 +115,29 @@ def tours_conflict(net: Network, f0: Tour, f1: Tour) -> bool:
 
 
 class ConflictGraph:
-    """Simple graph on tour ids with edges between conflicting tours."""
+    """Simple graph on tour ids with edges between conflicting tours, stored
+    once as a map from each tour id to the ids it conflicts with; `vertices`
+    and `edges` (pairs (a, b) with a < b) are derived from that map."""
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("_adj",)
 
-    def __init__(self, vertices: frozenset[int], edges: frozenset[tuple[int, int]]):
-        self.vertices = vertices
-        self.edges = edges
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         adj: dict[int, set[int]] = {v: set() for v in vertices}
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
 
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self._adj)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
+
     def adjacent(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges if a < b else (b, a) in self.edges
+        return b in self._adj.get(a, ())
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -138,7 +146,7 @@ class ConflictGraph:
         return len(self._adj[v])
 
     def __repr__(self) -> str:
-        return f"ConflictGraph(vertices={len(self.vertices)}, edges={len(self.edges)})"
+        return f"ConflictGraph(vertices={len(self._adj)}, edges={len(self.edges)})"
 
 
 def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
@@ -152,16 +160,14 @@ def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
         validate_tour(net, f)
     sets = [_conflict_sets(net, f) for f in tour_list]
     k = len(tour_list)
-    edges = frozenset((ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)
-                      if _sets_conflict(sets[i], sets[j]))
-    return ConflictGraph(frozenset(ids), edges)
+    pairs = ((ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)
+             if _sets_conflict(sets[i], sets[j]))
+    return ConflictGraph(ids, pairs)
 
 
 def max_degree(cg: ConflictGraph) -> int:
     """Maximum vertex degree; 0 for an empty or edgeless graph."""
-    if not cg.vertices:
-        return 0
-    return max(cg.degree(v) for v in cg.vertices)
+    return max(map(cg.degree, cg.vertices), default=0)
 
 
 def format_tour(tour: Tour) -> str:

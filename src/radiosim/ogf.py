@@ -165,8 +165,7 @@ class OldGoFirst(RoutingAlgorithm):
     """
 
     def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
-                 strict: bool = True, check_invariants: bool = True,
-                 queue_bound: Fraction | None = None):
+                 strict: bool = True, queue_bound: Fraction | None = None):
         if window_length < 1:
             raise OgfError(f"window length must be >= 1, got {window_length}")
         self.net = net
@@ -178,7 +177,6 @@ class OldGoFirst(RoutingAlgorithm):
                 f"window length {window_length} leaves no room after "
                 f"S(n) = {self.s_n} gossip rounds")
         self.strict = strict
-        self.check_invariants = check_invariants
         self.queue_bound = queue_bound
         self.window_log: list[WindowStats] = []
         self.invariant_checks = 0
@@ -237,7 +235,7 @@ class OldGoFirst(RoutingAlgorithm):
                 plan.phase2_length, not fits))
         return plan
 
-    def _check_invariants(self, state: NodeState, plan: WindowPlan) -> None:
+    def _check_residency(self, state: NodeState, plan: WindowPlan) -> None:
         colors_seen: dict[int, int] = {}
         for tid in state.queue:
             c = plan.color_of(tid)
@@ -248,10 +246,6 @@ class OldGoFirst(RoutingAlgorithm):
                     f"node {state.name}: tours {colors_seen[c]} and {tid} "
                     f"both resident with color {c}")
             colors_seen[c] = tid
-        if self.queue_bound is not None and len(state.queue) > self.queue_bound:
-            raise OgfError(
-                f"node {state.name}: queue size {len(state.queue)} exceeds "
-                f"bound {self.queue_bound}")
         self.invariant_checks += 1
 
     # -- routing interface ---------------------------------------------------
@@ -274,14 +268,13 @@ class OldGoFirst(RoutingAlgorithm):
             else:
                 action = LISTEN
 
-        if self.check_invariants:
-            plan = state.memory.get("plan")
-            if plan is not None:
-                self._check_invariants(state, plan)
-            elif self.queue_bound is not None and len(state.queue) > self.queue_bound:
-                raise OgfError(
-                    f"node {state.name}: queue size {len(state.queue)} exceeds "
-                    f"bound {self.queue_bound}")
+        plan = state.memory.get("plan")
+        if plan is not None:
+            self._check_residency(state, plan)
+        if self.queue_bound is not None and len(state.queue) > self.queue_bound:
+            raise OgfError(
+                f"node {state.name}: queue size {len(state.queue)} exceeds "
+                f"bound {self.queue_bound}")
         return action
 
     def _phase1_action(self, state: NodeState, offset: int) -> Action:
@@ -317,8 +310,7 @@ class OgfResult:
 
 def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
             trace: InjectionTrace, horizon: int,
-            window_override: int | None = None, strict: bool = True,
-            check_invariants: bool = True) -> OgfResult:
+            window_override: int | None = None, strict: bool = True) -> OgfResult:
     """Run Old-Go-First for `horizon` rounds against the trace.
 
     strict mode enforces the algorithm's preconditions (balanced type,
@@ -342,9 +334,7 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
         raise OgfError("window override is required when the type is not balanced")
 
     queue_bound = 2 * (adv.rho * w + adv.b) if strict else None
-    alg = OldGoFirst(net, w, gossip, strict=strict,
-                     check_invariants=check_invariants,
-                     queue_bound=queue_bound)
+    alg = OldGoFirst(net, w, gossip, strict=strict, queue_bound=queue_bound)
 
     def soundness(round_no: int, actions, outcome) -> None:
         for v in sorted(actions):

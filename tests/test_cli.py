@@ -66,6 +66,13 @@ def test_sls_empty_instance_is_vacuous(capsys):
     assert "vacuous" in capsys.readouterr().out
 
 
+def test_sls_negative_tour_count_is_usage_error(capsys):
+    code = run_cli("sls", "--network", "gen:clique:4", "--gen-tours", "-3")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_sls_rejects_multilink_tours(tmp_path):
     netfile = tmp_path / "net.txt"
     netfile.write_text("n 3\ne 1 2\ne 2 3\n")
@@ -145,7 +152,8 @@ def test_ogf_loads_trace_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option", [("--gossip", "oracle:x"),
-                                    ("--gen-scale", "abc")])
+                                    ("--gen-scale", "abc"),
+                                    ("--attempts", "-1")])
 def test_ogf_malformed_option_is_usage_error(option, capsys):
     code = run_cli("ogf", "--network", "gen:path:4", "--adv", "1/8:1:2",
                    "--horizon", "10", *option)

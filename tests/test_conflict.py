@@ -165,6 +165,16 @@ def test_graph_agrees_with_pairwise_predicate():
         cg = build_conflict_graph(net, tours)
         for f0, f1 in itertools.combinations(tours, 2):
             assert cg.adjacent(f0.id, f1.id) == tours_conflict(net, f0, f1)
+            assert cg.adjacent(f1.id, f0.id) == cg.adjacent(f0.id, f1.id)
+        assert set(cg.edges) == {
+            (min(f0.id, f1.id), max(f0.id, f1.id))
+            for f0, f1 in itertools.combinations(tours, 2)
+            if tours_conflict(net, f0, f1)}
+        assert cg.vertices == {f.id for f in tours}
+        absent = max((f.id for f in tours), default=0) + 1
+        for f in tours:
+            assert cg.degree(f.id) == len(cg.neighbors(f.id))
+            assert not cg.adjacent(f.id, absent) and not cg.adjacent(absent, f.id)
 
 
 def test_max_degree_ring4(ring4, ring4_tours):
