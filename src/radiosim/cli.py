@@ -202,7 +202,7 @@ def cmd_instability(args) -> int:
         try:
             result = ogf.run_ogf(net, adv, gossip, trace, horizon,
                                  window_override=window, strict=False)
-        except ogf.OgfError as exc:
+        except ogf.GuaranteeError as exc:
             print(f"FAIL during run: {exc}", file=sys.stderr)
             return EXIT_SCIENCE
         metrics = result.metrics
@@ -267,7 +267,7 @@ def cmd_ogf(args) -> int:
     try:
         result = ogf.run_ogf(net, adv, gossip, trace, horizon,
                              window_override=args.window if args.window else None)
-    except ogf.OgfError as exc:
+    except ogf.GuaranteeError as exc:
         print(f"FAIL during run: {exc}", file=sys.stderr)
         return EXIT_SCIENCE
     metrics = result.metrics

@@ -89,31 +89,31 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     Every node must have exactly one action.  A node hears iff it listens
     and exactly one of its neighbors transmits; it sees a collision iff it
     listens and two or more neighbors transmit; otherwise silence (a
-    transmitter always gets silence).
+    transmitter always gets silence).  Each transmitter registers with its
+    neighbors, and a listener's outcome comes from the transmitters
+    registered with it, so no listener scans its own neighbors.
     """
+    # listener -> its one transmitting neighbor, or None for two or more
+    senders: dict[int, int | None] = {}
     for v in net.nodes():
         if v not in actions:
             raise EngineError(f"node {v} has no action")
         a = actions[v]
-        if a is not LISTEN and not isinstance(a, Transmit):
+        if a is LISTEN:
+            continue
+        if not isinstance(a, Transmit):
             raise EngineError(f"node {v}: invalid action {a!r}")
+        for u in net.neighbors(v):
+            senders[u] = None if u in senders else v
     if len(actions) != net.n:
         extra = sorted(set(actions) - set(net.nodes()))
         raise EngineError(f"actions for unknown nodes {extra}")
 
-    outcome: RoundOutcome = {}
-    for v in net.nodes():
-        if isinstance(actions[v], Transmit):
-            outcome[v] = SILENCE
-            continue
-        transmitters = [u for u in sorted(net.neighbors(v))
-                        if isinstance(actions[u], Transmit)]
-        if len(transmitters) == 1:
-            outcome[v] = Heard(transmitters[0], actions[transmitters[0]].message)
-        elif len(transmitters) >= 2:
-            outcome[v] = COLLISION
-        else:
-            outcome[v] = SILENCE
+    outcome: RoundOutcome = dict.fromkeys(net.nodes(), SILENCE)
+    for v, sender in senders.items():
+        if actions[v] is LISTEN:
+            outcome[v] = (COLLISION if sender is None
+                          else Heard(sender, actions[sender].message))
     return outcome
 
 
@@ -132,9 +132,6 @@ class NodeState:
     n: int
     queue: dict[int, QueuedTour] = field(default_factory=dict)
     memory: dict = field(default_factory=dict)
-
-    def queue_size(self) -> int:
-        return len(self.queue)
 
 
 class RoutingAlgorithm:
@@ -253,24 +250,22 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     algorithm.on_run_start(net, states)
 
     metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
-    delivered_ids: set[int] = set()
+    peaks = metrics.max_queue_per_node
+    hops = 0  # links still to cross, over all queued tours
 
     for r in range(1, horizon + 1):
         for tour in by_round.get(r, ()):
             src = states[tour.source]
-            if tour.id in src.queue or tour.id in delivered_ids:
-                raise EngineError(f"duplicate injection of tour {tour.id}")
             src.queue[tour.id] = QueuedTour(tour, 0)
             metrics.injected_total += 1
+            hops += tour.length
             algorithm.on_inject(src, tour)
 
         actions: dict[int, Action] = {}
-        for v in net.nodes():
-            a = algorithm.on_round(states[v], r)
-            if a is not LISTEN and not isinstance(a, Transmit):
-                raise EngineError(f"node {v} round {r}: algorithm returned {a!r}")
+        for v, state in states.items():
+            a = algorithm.on_round(state, r)
             if isinstance(a, Transmit) and a.message.tour is not None:
-                qt = states[v].queue.get(a.message.tour.id)
+                qt = state.queue.get(a.message.tour.id)
                 if qt is None or qt.progress != a.message.progress:
                     raise EngineError(
                         f"node {v} round {r}: transmitted tour "
@@ -281,8 +276,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         if observer is not None:
             observer(r, actions, outcome)
 
-        for v in net.nodes():
-            out = outcome[v]
+        for v, out in outcome.items():
             if not isinstance(out, Heard):
                 continue
             algorithm.on_hear(states[v], out.sender, out.message)
@@ -292,6 +286,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             f, p = msg.tour, msg.progress
             if f.path[p] == out.sender and p + 1 < len(f.path) and f.path[p + 1] == v:
                 del states[out.sender].queue[f.id]
+                hops -= 1
                 if p + 1 == len(f.path) - 1:
                     latency = r - f.injection_round
                     if latency < f.length - 1:
@@ -299,21 +294,17 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                             f"tour {f.id}: latency {latency} below links-1")
                     metrics.deliveries.append(
                         Delivery(f.id, f.injection_round, r, latency, f.length))
-                    delivered_ids.add(f.id)
                 else:
                     states[v].queue[f.id] = QueuedTour(f, p + 1)
 
-        backlog = sum(len(states[v].queue) for v in net.nodes())
-        hops = sum(qt.tour.length - qt.progress
-                   for v in net.nodes() for qt in states[v].queue.values())
-        max_q = max(len(states[v].queue) for v in net.nodes())
+        sizes = [len(state.queue) for state in states.values()]
+        backlog = sum(sizes)
         metrics.backlog.append(backlog)
         metrics.undelivered_hops.append(hops)
-        metrics.max_queue_per_round.append(max_q)
-        for v in net.nodes():
-            q = len(states[v].queue)
-            if q > metrics.max_queue_per_node[v]:
-                metrics.max_queue_per_node[v] = q
+        metrics.max_queue_per_round.append(max(sizes))
+        for v, q in zip(states, sizes):
+            if q > peaks[v]:
+                peaks[v] = q
         if metrics.injected_total != len(metrics.deliveries) + backlog:
             raise EngineError("conservation violated: injected != delivered + queued")
 

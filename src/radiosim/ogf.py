@@ -28,10 +28,16 @@ from .network import Network
 
 
 class OgfError(ValueError):
-    """Raised for precondition violations and broken routing guarantees."""
+    """Raised for precondition violations (GuaranteeError for broken
+    routing guarantees)."""
 
 
-class WindowOverflowError(OgfError):
+class GuaranteeError(OgfError):
+    """A routing guarantee broke during a run: window fit, per-color
+    residency, queue bound or phase-2 hearing."""
+
+
+class WindowOverflowError(GuaranteeError):
     """A window's old-tour set does not fit its gossip + super-round budget."""
 
 
@@ -131,7 +137,7 @@ def phase2_action(plan: WindowPlan, state: NodeState, offset: int) -> Action:
     i = offset % (plan.delta + 1) + 1
     holding = [qt for tid, qt in state.queue.items() if plan.color_of(tid) == i]
     if len(holding) > 1:
-        raise OgfError(
+        raise GuaranteeError(
             f"node {state.name}: {len(holding)} resident tours of color {i}; "
             "per-color residency invariant violated")
     if holding:
@@ -165,7 +171,7 @@ class OldGoFirst(RoutingAlgorithm):
     """
 
     def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
-                 strict: bool = True, queue_bound: Fraction | None = None):
+                 strict: bool = True, queue_bound: int | None = None):
         if window_length < 1:
             raise OgfError(f"window length must be >= 1, got {window_length}")
         self.net = net
@@ -242,7 +248,7 @@ class OldGoFirst(RoutingAlgorithm):
             if c is None:
                 continue
             if c in colors_seen:
-                raise OgfError(
+                raise GuaranteeError(
                     f"node {state.name}: tours {colors_seen[c]} and {tid} "
                     f"both resident with color {c}")
             colors_seen[c] = tid
@@ -272,7 +278,7 @@ class OldGoFirst(RoutingAlgorithm):
         if plan is not None:
             self._check_residency(state, plan)
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:
-            raise OgfError(
+            raise GuaranteeError(
                 f"node {state.name}: queue size {len(state.queue)} exceeds "
                 f"bound {self.queue_bound}")
         return action
@@ -333,12 +339,12 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
     if w is None:
         raise OgfError("window override is required when the type is not balanced")
 
-    queue_bound = 2 * (adv.rho * w + adv.b) if strict else None
+    # queue sizes are integers, so compare them with the bound's floor
+    queue_bound = math.floor(2 * (adv.rho * w + adv.b)) if strict else None
     alg = OldGoFirst(net, w, gossip, strict=strict, queue_bound=queue_bound)
 
     def soundness(round_no: int, actions, outcome) -> None:
-        for v in sorted(actions):
-            a = actions[v]
+        for v, a in actions.items():
             if not isinstance(a, Transmit) or a.message.tour is None:
                 continue
             f, p = a.message.tour, a.message.progress
@@ -346,7 +352,7 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
             out = outcome[nxt]
             if not (isinstance(out, engine.Heard) and out.sender == v
                     and out.message.tour is f):
-                raise OgfError(
+                raise GuaranteeError(
                     f"round {round_no}: tour {f.id} transmitted by node {v} "
                     f"was not heard by its next hop {nxt} ({out!r})")
 

@@ -153,10 +153,20 @@ def test_ogf_loads_trace_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [("--gossip", "oracle:x"),
                                     ("--gen-scale", "abc"),
-                                    ("--attempts", "-1")])
+                                    ("--attempts", "-1"),
+                                    ("--window", "-3"),
+                                    ("--window", "5")])
 def test_ogf_malformed_option_is_usage_error(option, capsys):
     code = run_cli("ogf", "--network", "gen:path:4", "--adv", "1/8:1:2",
                    "--horizon", "10", *option)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_instability_negative_window_is_usage_error(capsys):
+    code = run_cli("instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
+                   "--intervals", "5", "--algorithm", "ogf", "--window", "-3")
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -191,6 +191,15 @@ def test_transmitting_non_resident_tour_rejected():
         run(net, Cheater(), InjectionTrace((), 0), 3)
 
 
+def test_algorithm_invalid_action_rejected():
+    class Broken(RoutingAlgorithm):
+        def on_round(self, state, round_no):
+            return "transmit"
+
+    with pytest.raises(EngineError, match="invalid action"):
+        run(make_path(2), Broken(), InjectionTrace((), 0), 1)
+
+
 def test_delivered_tour_leaves_queues():
     net = make_path(3)
     trace = InjectionTrace((Tour(1, 1, (1, 2)),), 1)

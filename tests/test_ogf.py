@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -198,6 +199,22 @@ def test_phase2_action_detects_same_color_co_residency():
     state.queue[2] = QueuedTour(t2, 0)  # cannot co-reside legally
     with pytest.raises(OgfError, match="residency"):
         phase2_action(plan, state, 0)
+
+
+def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():
+    net = make_path(4)
+    adv = _adv(1, 8, 1, 2)
+    w = compute_window_bound(adv, 12)
+    bound = 2 * (adv.rho * w + adv.b)
+    assert bound != math.floor(bound)
+    alg = ogf.OldGoFirst(net, w, GossipConfig.tdma(), queue_bound=math.floor(bound))
+    state = NodeState(name=1, n=4)
+    for tid in range(1, math.floor(bound) + 1):
+        state.queue[tid] = QueuedTour(Tour(tid, 1, (1, 2)), 0)
+    alg.on_round(state, 1)
+    state.queue[0] = QueuedTour(Tour(0, 1, (1, 2)), 0)
+    with pytest.raises(ogf.GuaranteeError, match="exceeds bound"):
+        alg.on_round(state, 2)
 
 
 # ---------------------------------------------------------------- runs
