@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import engine
-from .conflict import ConflictGraph, Tour, validate_tour
+from .conflict import ConflictGraph, Tour, bit_positions, validate_tour
 from .network import Network
 
 EXACT_CHROMATIC_CAP = 16  # vertices
@@ -48,33 +48,63 @@ def greedy_color(cg: ConflictGraph, order: Sequence[int] | None = None) -> Color
     """First-fit coloring: each vertex gets the smallest color unused by its
     already-colored neighbors.  Uses at most max_degree + 1 colors.
 
-    Default order is ascending tour id (deterministic).
+    Default order is ascending tour id (deterministic).  Color c is built
+    as one sweep: the greedy independent set, taken in order, of the
+    vertices still uncolored.  This is first-fit's assignment, by induction
+    on c: an uncolored vertex v joins class c iff no earlier vertex of the
+    class neighbors v, that is, iff no earlier neighbor of v has color c.
     """
+    ids, rows = cg._ids, cg._bits
     if order is None:
-        order = sorted(cg.vertices)
-    if sorted(order) != sorted(cg.vertices):
+        order = ids
+    elif sorted(order) != list(ids):
         raise ColoringError("order is not a permutation of the vertices")
-    assignment: dict[int, int] = {}
-    for v in order:
-        taken = {assignment[u] for u in cg.neighbors(v) if u in assignment}
-        c = 1
-        while c in taken:
-            c += 1
-        assignment[v] = c
-    return Coloring(assignment, max(assignment.values(), default=0))
+    else:
+        # rows over ranks in `order` instead of positions in ids
+        rank = [0] * len(ids)
+        for r, v in enumerate(order):
+            rank[cg._pos[v]] = r
+        rows = [sum(1 << rank[j] for j in bit_positions(rows[cg._pos[v]]))
+                for v in order]
+    colors = [0] * len(order)
+    uncolored = (1 << len(order)) - 1
+    c = 0
+    while uncolored:
+        c += 1
+        candidates = uncolored
+        while candidates:
+            low = candidates & -candidates
+            r = low.bit_length() - 1
+            colors[r] = c
+            uncolored ^= low
+            candidates &= ~(rows[r] | low)
+    return Coloring(dict(zip(order, colors)), c)
 
 
 def is_proper(cg: ConflictGraph, coloring: Coloring) -> bool:
-    return all(coloring.assignment[a] != coloring.assignment[b]
-               for a, b in cg.edges)
+    """True iff no edge joins two vertices of one color: each vertex is
+    checked against the mask of the earlier vertices of its color."""
+    classes: dict[int, int] = {}
+    for i, (v, row) in enumerate(zip(cg._ids, cg._bits)):
+        if row:
+            c = coloring.assignment[v]
+            members = classes.get(c, 0)
+            if row & members:
+                return False
+            classes[c] = members | 1 << i
+    return True
 
 
 def _greedy_clique(cg: ConflictGraph) -> list[int]:
-    """Heuristic clique, used as a lower bound for exact_chromatic."""
+    """Heuristic clique, used as a lower bound for exact_chromatic: vertices
+    by falling degree, each kept iff it neighbors every vertex kept so far."""
+    rows = cg._bits
     clique: list[int] = []
-    for v in sorted(cg.vertices, key=lambda v: -cg.degree(v)):
-        if all(cg.adjacent(v, u) for u in clique):
-            clique.append(v)
+    common = (1 << len(rows)) - 1  # common neighbors of the clique
+    for i in sorted(range(len(rows)), key=lambda i: -rows[i].bit_count()):
+        if common >> i & 1:
+            clique.append(cg._ids[i])
+            common &= rows[i]
     return clique
 
 
@@ -88,23 +118,23 @@ def exact_chromatic(cg: ConflictGraph) -> int:
     lower = max(len(_greedy_clique(cg)), 1)
     upper = greedy_color(cg).num_colors
 
-    order = sorted(cg.vertices, key=lambda v: (-cg.degree(v), v))
+    rows = cg._bits
+    order = sorted(range(len(rows)), key=lambda i: (-rows[i].bit_count(), i))
 
     def colorable(k: int) -> bool:
-        assignment: dict[int, int] = {}
+        classes = [0] * k  # mask of the vertices placed in each color
 
         def place(i: int, used: int) -> bool:
             if i == len(order):
                 return True
             v = order[i]
-            taken = {assignment[u] for u in cg.neighbors(v) if u in assignment}
-            for c in range(1, min(k, used + 1) + 1):
-                if c in taken:
+            for c in range(min(k, used + 1)):
+                if rows[v] & classes[c]:
                     continue
-                assignment[v] = c
-                if place(i + 1, max(used, c)):
+                classes[c] |= 1 << v
+                if place(i + 1, max(used, c + 1)):
                     return True
-                del assignment[v]
+                classes[c] ^= 1 << v
             return False
 
         return place(0, 0)

@@ -115,43 +115,82 @@ def tours_conflict(net: Network, f0: Tour, f1: Tour) -> bool:
 
 
 class ConflictGraph:
-    """Simple graph on tour ids with edges between conflicting tours, stored
-    once as a map from each tour id to the ids it conflicts with; `vertices`
-    and `edges` (pairs (a, b) with a < b) are derived from that map."""
+    """Simple graph on tour ids with edges between conflicting tours.
 
-    __slots__ = ("_adj",)
+    The ids sit at positions 0..k-1 in ascending order, and `_bits[i]` is
+    the Python-int bitset of the positions adjacent to position i.
+    `vertices`, `edges` (pairs (a, b) with a < b) and the degrees are
+    derived from the bitsets; `radiosim.coloring` reads `_ids`, `_pos` and
+    `_bits` to color with bit operations.
+    """
+
+    __slots__ = ("_ids", "_pos", "_bits")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-        adj: dict[int, set[int]] = {v: set() for v in vertices}
+        ids = sorted(set(vertices))
+        pos = {v: i for i, v in enumerate(ids)}
+        bits = [0] * len(ids)
         for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+            if a == b:
+                raise TourError(f"conflict-graph edge ({a}, {b}) is a self-loop")
+            for v in (a, b):
+                if v not in pos:
+                    raise TourError(f"conflict-graph edge ({a}, {b}): {v} is not a vertex")
+            bits[pos[a]] |= 1 << pos[b]
+            bits[pos[b]] |= 1 << pos[a]
+        self._ids, self._pos, self._bits = tuple(ids), pos, tuple(bits)
+
+    @classmethod
+    def _from_bits(cls, ids: list[int], bits: list[int]) -> ConflictGraph:
+        """The graph on ascending `ids` whose position i is adjacent to the
+        set bits of `bits[i]`; the caller ensures symmetry and no self-loops."""
+        cg = cls.__new__(cls)
+        cg._ids, cg._pos, cg._bits = tuple(ids), {v: i for i, v in enumerate(ids)}, tuple(bits)
+        return cg
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._adj)
+        return frozenset(self._ids)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
+        ids = self._ids
+        # bit 0 of bits[i] >> i is position i itself, never set
+        return frozenset((a, ids[i + j]) for i, a in enumerate(ids)
+                         for j in bit_positions(self._bits[i] >> i))
 
     def adjacent(self, a: int, b: int) -> bool:
-        return b in self._adj.get(a, ())
+        i, j = self._pos.get(a), self._pos.get(b)
+        return i is not None and j is not None and bool(self._bits[i] >> j & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        ids = self._ids
+        return frozenset(ids[j] for j in bit_positions(self._bits[self._pos[v]]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._bits[self._pos[v]].bit_count()
 
     def __repr__(self) -> str:
-        return f"ConflictGraph(vertices={len(self._adj)}, edges={len(self.edges)})"
+        edges = sum(b.bit_count() for b in self._bits) // 2
+        return f"ConflictGraph(vertices={len(self._ids)}, edges={edges})"
+
+
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
-    """Pairwise tours_conflict over the tour set, with each tour validated
-    and its conflict sets built once."""
+    """The conflict graph of the tour set, each tour validated and its
+    conflict sets built once.
+
+    Two node masks per node x collect tour bits: N_x, the tours with x as
+    a non-destination node, and C_x, the tours whose conflict_node_set
+    holds x.  Then tour i's row is the OR of C_x over its non-destination
+    nodes x and of N_x over its conflict nodes x, without bit i.  This is
+    _sets_conflict for all pairs at once: bit j is set iff some x lies in
+    nondest(i) and C(j), or in C(i) and nondest(j).
+    """
     tour_list = sorted(tours, key=lambda f: f.id)
     ids = [f.id for f in tour_list]
     if len(set(ids)) != len(ids):
@@ -159,15 +198,28 @@ def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
     for f in tour_list:
         validate_tour(net, f)
     sets = [_conflict_sets(net, f) for f in tour_list]
-    k = len(tour_list)
-    pairs = ((ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)
-             if _sets_conflict(sets[i], sets[j]))
-    return ConflictGraph(ids, pairs)
+    nondest_at = [0] * (net.n + 1)
+    conflict_at = [0] * (net.n + 1)
+    for i, (nondest, cset) in enumerate(sets):
+        bit = 1 << i
+        for x in nondest:
+            nondest_at[x] |= bit
+        for x in cset:
+            conflict_at[x] |= bit
+    bits = []
+    for i, (nondest, cset) in enumerate(sets):
+        row = 0
+        for x in nondest:
+            row |= conflict_at[x]
+        for x in cset:
+            row |= nondest_at[x]
+        bits.append(row & ~(1 << i))
+    return ConflictGraph._from_bits(ids, bits)
 
 
 def max_degree(cg: ConflictGraph) -> int:
     """Maximum vertex degree; 0 for an empty or edgeless graph."""
-    return max(map(cg.degree, cg.vertices), default=0)
+    return max((row.bit_count() for row in cg._bits), default=0)
 
 
 def format_tour(tour: Tour) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -69,6 +70,55 @@ def test_greedy_proper_and_within_degree_bound():
         col = greedy_color(cg)
         assert is_proper(cg, col)
         assert col.num_colors <= max_degree(cg) + 1
+
+
+def _first_fit_oracle(adj, order):
+    """Set-based first-fit over an adjacency map built by the test."""
+    assignment = {}
+    for v in order:
+        taken = {assignment[u] for u in adj[v] if u in assignment}
+        c = 1
+        while c in taken:
+            c += 1
+        assignment[v] = c
+    return assignment, max(assignment.values(), default=0)
+
+
+def test_greedy_matches_first_fit_oracle():
+    rng = random.Random(41)
+    big = 0
+    for trial in range(240):
+        k = rng.randint(0, 150) if trial % 4 == 0 else rng.randint(0, 20)
+        big += k > 64
+        vertices = rng.sample(range(1, 3 * k + 2), k)
+        p = rng.random()
+        edges = {(a, b) for a, b in itertools.combinations(vertices, 2) if rng.random() < p}
+        adj = {v: set() for v in vertices}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        cg = _graph(vertices, edges)
+        orders = [sorted(vertices)] + [rng.sample(vertices, k) for _ in range(2)]
+        for i, order in enumerate(orders):
+            col = greedy_color(cg) if i == 0 else greedy_color(cg, order)
+            assignment, num_colors = _first_fit_oracle(adj, order)
+            assert col.assignment == assignment
+            assert col.num_colors == num_colors
+            assert is_proper(cg, col)
+    assert big >= 20
+
+
+def test_is_proper_rejects_adjacent_same_color():
+    rng = random.Random(43)
+    for _ in range(50):
+        cg = _random_graph(rng, max_v=12)
+        if not cg.edges:
+            continue
+        col = greedy_color(cg)
+        a, b = rng.choice(sorted(cg.edges))
+        clash = dict(col.assignment)
+        clash[b] = clash[a]
+        assert not is_proper(cg, Coloring(clash, col.num_colors))
 
 
 # ---------------------------------------------------------------- exact

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from radiosim import (LISTEN, Heard, Message, Tour, TourError, Transmit,
-                      build_conflict_graph, conflict_node_set, format_tour,
+from radiosim import (LISTEN, AdversaryType, ConflictGraph, Heard, Message,
+                      Tour, TourError, Transmit, build_conflict_graph,
+                      conflict_node_set, format_tour, gen_unbalanced_clique,
                       make_clique, make_cycle, make_path, max_degree,
                       node_link_conflicts, node_tour_conflicts,
                       parse_tour_line, step, tours_conflict, validate_tour)
@@ -175,6 +177,62 @@ def test_graph_agrees_with_pairwise_predicate():
         for f in tours:
             assert cg.degree(f.id) == len(cg.neighbors(f.id))
             assert not cg.adjacent(f.id, absent) and not cg.adjacent(absent, f.id)
+
+
+def test_graph_agrees_with_pairwise_predicate_at_scale():
+    # rows span several 64-bit words; tours up to 5 links on up to 10 nodes
+    rng = random.Random(53)
+    dest_only_pairs = 0
+    for _ in range(30):
+        net = random_network(rng, max_n=10)
+        tours = random_tours(net, rng, rng.randint(20, 80), max_len=rng.randint(1, 5))
+        # two tours into one node from different neighbors share only it
+        x = rng.randrange(1, net.n + 1)
+        nbrs = sorted(net.neighbors(x))
+        if len(nbrs) >= 2:
+            a, b = rng.sample(nbrs, 2)
+            tours += [Tour(len(tours) + 1, 1, (a, x)), Tour(len(tours) + 2, 1, (b, x))]
+        dest_only_pairs += sum(
+            1 for f0, f1 in itertools.combinations(tours, 2)
+            if set(f0.path) & set(f1.path) == {f0.destination} == {f1.destination})
+        cg = build_conflict_graph(net, tours)
+        assert set(cg.edges) == {(min(f0.id, f1.id), max(f0.id, f1.id))
+                                 for f0, f1 in itertools.combinations(tours, 2)
+                                 if tours_conflict(net, f0, f1)}
+        for f in tours:
+            assert cg.degree(f.id) == len(cg.neighbors(f.id))
+            assert all(cg.adjacent(g, f.id) for g in cg.neighbors(f.id))
+        assert max_degree(cg) == max(cg.degree(f.id) for f in tours)
+    assert dest_only_pairs > 100
+
+
+def test_saturated_clique_old_set_is_complete():
+    # the seed-1 saturation trace: K6 at 1/2:1:3, t=2, nodes relabelled
+    net, trace = gen_unbalanced_clique(AdversaryType(Fraction(1, 2), 1, 3), 6, 2, 1400)
+    names = list(range(1, 7))
+    random.Random(1).shuffle(names)
+    relabel = dict(zip(range(1, 7), names))
+    old = [Tour(f.id, f.injection_round, tuple(relabel[v] for v in f.path))
+           for f in trace.injections if f.injection_round <= 1320]
+    k = len(old)
+    assert k > 600
+    cg = build_conflict_graph(net, old)
+    assert cg.edges == {(a, b) for a, b in itertools.combinations(sorted(cg.vertices), 2)}
+    assert all(cg.degree(f.id) == k - 1 for f in old)
+    assert max_degree(cg) == k - 1
+    rng = random.Random(1)
+    for f0, f1 in (rng.sample(old, 2) for _ in range(200)):
+        assert tours_conflict(net, f0, f1)
+
+
+def test_conflict_graph_rejects_self_loop():
+    with pytest.raises(TourError, match="self-loop"):
+        ConflictGraph([1, 2], [(1, 1), (1, 2)])
+
+
+def test_conflict_graph_rejects_edge_to_unknown_vertex():
+    with pytest.raises(TourError, match="3 is not a vertex"):
+        ConflictGraph([1, 2], [(1, 3)])
 
 
 def test_max_degree_ring4(ring4, ring4_tours):
