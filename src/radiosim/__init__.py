@@ -23,8 +23,9 @@ from .engine import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
 from .network import (Network, NetworkError, build_network, format_network,
                       make_clique, make_cycle, make_path,
                       make_random_connected, parse_network)
-from .ogf import (GossipConfig, OgfError, OgfResult, OldGoFirst,
-                  WindowOverflowError, WindowPlan, compute_window_bound,
-                  phase2_action, plan_window, run_ogf, tdma_gossip_schedule)
+from .ogf import (GossipConfig, GuaranteeError, OgfError, OgfResult,
+                  OldGoFirst, WindowOverflowError, WindowPlan,
+                  compute_window_bound, phase2_action, plan_window, run_ogf,
+                  tdma_gossip_schedule)
 
 __version__ = "0.1.0"

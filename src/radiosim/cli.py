@@ -8,8 +8,10 @@ Subcommands:
   gossip-check  completeness check of the TDMA gossip phase
 
 Exit codes: 0 success, 1 a theorem-backed property failed, 2 usage or
-parse errors.  All randomness flows from --seed through named sub-seeds,
-and every CSV written for a fixed seed is byte-identical across reruns.
+parse errors.  Commands raise; only `main` maps ogf.GuaranteeError to
+exit 1 and input errors to exit 2, each with one stderr line.  All
+randomness flows from --seed through named sub-seeds, and every CSV
+written for a fixed seed is byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import random
 import statistics
 import sys
 from dataclasses import dataclass
@@ -133,9 +136,11 @@ def _one_link_tours_from_file(path: str) -> list[conflict.Tour]:
 
 
 def _gen_one_link_tours(net: network.Network, count: int, seed: int) -> list[conflict.Tour]:
-    import random
     if count < 0:
         raise conflict.TourError(f"tour count must be >= 0, got {count}")
+    if count > 0 and not net.edges:
+        raise conflict.TourError(f"cannot generate {count} one-link tours "
+                                 "on a network without edges")
     rng = random.Random(derive_seed(seed, "sls-tours"))
     edges = sorted(net.edges)
     tours = []
@@ -153,11 +158,7 @@ def cmd_sls(args) -> int:
         tours = _one_link_tours_from_file(args.tours)
     else:
         tours = _gen_one_link_tours(net, args.gen_tours, args.seed)
-    for f in tours:
-        if f.length != 1:
-            print(f"error: tour {f.id} has {f.length} links; sls takes one-link tours",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    tours = coloring.one_link_tours(net, tours)
     if not tours:
         print("empty instance: 0 tours, schedule length 0 (vacuous)")
         _summary("sls", args.seed, net.n, None, None, None, None, "ok", args.out)
@@ -188,9 +189,9 @@ def cmd_sls(args) -> int:
 def cmd_instability(args) -> int:
     adv = adversary.AdversaryType.parse(args.adv)
     if adversary.classify(adv) is not adversary.Balance.UNBALANCED:
-        print(f"error: instability needs an unbalanced type, got {adv} "
-              f"(rho*L = {adv.rho * adv.L})", file=sys.stderr)
-        return EXIT_USAGE
+        raise adversary.AdversaryError(
+            f"instability needs an unbalanced type, got {adv} "
+            f"(rho*L = {adv.rho * adv.L})")
     horizon = args.intervals * args.t
     net, trace = adversary.gen_unbalanced_clique(adv, args.n, args.t, horizon)
 
@@ -199,13 +200,8 @@ def cmd_instability(args) -> int:
     else:
         window = args.window if args.window else 2 * net.n * (net.n - 1)
         gossip = parse_gossip(args.gossip)
-        try:
-            result = ogf.run_ogf(net, adv, gossip, trace, horizon,
-                                 window_override=window, strict=False)
-        except ogf.GuaranteeError as exc:
-            print(f"FAIL during run: {exc}", file=sys.stderr)
-            return EXIT_SCIENCE
-        metrics = result.metrics
+        metrics = ogf.run_ogf(net, adv, gossip, trace, horizon,
+                              window_override=window, strict=False).metrics
 
     k = args.intervals
     surplus = (adv.L * adv.rho - 1) * k * args.t - adv.b * adv.L
@@ -234,9 +230,8 @@ def cmd_instability(args) -> int:
 def cmd_ogf(args) -> int:
     adv = adversary.AdversaryType.parse(args.adv)
     if adversary.classify(adv) is not adversary.Balance.BALANCED:
-        print(f"error: ogf needs a balanced type, got {adv} "
-              f"(rho*L = {adv.rho * adv.L})", file=sys.stderr)
-        return EXIT_USAGE
+        raise adversary.AdversaryError(
+            f"ogf needs a balanced type, got {adv} (rho*L = {adv.rho * adv.L})")
     net = load_network(args.network, args.seed)
     gossip = parse_gossip(args.gossip)
     s_n = gossip.rounds(net.n)
@@ -247,8 +242,7 @@ def cmd_ogf(args) -> int:
         _, trace = adversary.parse_trace(Path(args.trace).read_text())
         violation = adversary.verify_admissible(net, trace, adv)
         if violation is not None:
-            print(f"error: loaded trace inadmissible: {violation}", file=sys.stderr)
-            return EXIT_USAGE
+            raise adversary.AdversaryError(f"loaded trace inadmissible: {violation}")
     else:
         try:
             scale = Fraction(args.gen_scale)
@@ -256,20 +250,15 @@ def cmd_ogf(args) -> int:
             raise adversary.AdversaryError(
                 f"bad --gen-scale {args.gen_scale!r}: {exc}") from None
         if not 0 < scale <= 1:
-            print(f"error: --gen-scale must be in (0, 1], got {scale}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise adversary.AdversaryError(
+                f"--gen-scale must be in (0, 1], got {scale}")
         gen_adv = adversary.AdversaryType(adv.rho * scale, adv.b, adv.L)
         trace = adversary.gen_balanced(net, gen_adv,
                                        derive_seed(args.seed, "traffic"),
                                        horizon, attempts_per_round=args.attempts)
 
-    try:
-        result = ogf.run_ogf(net, adv, gossip, trace, horizon,
-                             window_override=args.window if args.window else None)
-    except ogf.GuaranteeError as exc:
-        print(f"FAIL during run: {exc}", file=sys.stderr)
-        return EXIT_SCIENCE
+    result = ogf.run_ogf(net, adv, gossip, trace, horizon,
+                         window_override=args.window if args.window else None)
     metrics = result.metrics
 
     print(f"u = {u}, S(n) = {s_n}, window = {result.w}, horizon = {horizon}")
@@ -308,11 +297,7 @@ def _overdue_tours(trace, metrics, horizon: int, age_limit: int) -> list[int]:
 
 
 def cmd_verify_trace(args) -> int:
-    try:
-        adv, trace = adversary.parse_trace(Path(args.trace).read_text())
-    except (adversary.AdversaryError, conflict.TourError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    adv, trace = adversary.parse_trace(Path(args.trace).read_text())
     net = load_network(args.network, args.seed)
     if args.adv:
         adv = adversary.AdversaryType.parse(args.adv)
@@ -425,6 +410,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ogf.GuaranteeError as exc:
+        print(f"FAIL during run: {exc}", file=sys.stderr)
+        return EXIT_SCIENCE
     except (network.NetworkError, conflict.TourError, adversary.AdversaryError,
             coloring.ColoringError, ogf.OgfError, engine.EngineError,
             OSError) as exc:

@@ -179,15 +179,22 @@ def _round_delivers(net: Network, group: Iterable[Tour]) -> bool:
     return True
 
 
-def verify_schedule(net: Network, tours: Iterable[Tour], sched: Schedule) -> bool:
-    """True iff simulating the schedule delivers every one-link tour in its
-    assigned round, under the real hearing semantics."""
+def one_link_tours(net: Network, tours: Iterable[Tour]) -> list[Tour]:
+    """The tours sorted by id, each checked to be a one-link path of `net`."""
     tour_list = sorted(tours, key=lambda f: f.id)
     for f in tour_list:
         validate_tour(net, f)
         if f.length != 1:
             raise ColoringError(f"tour {f.id} has length {f.length}; "
-                                "schedules cover one-link tours only")
+                                "SLS instances use one-link tours only")
+    return tour_list
+
+
+def verify_schedule(net: Network, tours: Iterable[Tour], sched: Schedule) -> bool:
+    """True iff simulating the schedule delivers every one-link tour in its
+    assigned round, under the real hearing semantics."""
+    tour_list = one_link_tours(net, tours)
+    for f in tour_list:
         if f.id not in sched.assignment:
             raise ColoringError(f"tour {f.id} is not scheduled")
     rounds: dict[int, list[Tour]] = {}
@@ -205,12 +212,7 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     fail stay failed when more transmitters are added, so the search can
     prune on partial assignments.
     """
-    tour_list = sorted(tours, key=lambda f: f.id)
-    for f in tour_list:
-        validate_tour(net, f)
-        if f.length != 1:
-            raise ColoringError(f"tour {f.id} has length {f.length}; "
-                                "SLS instances use one-link tours only")
+    tour_list = one_link_tours(net, tours)
     if len(tour_list) > BRUTE_FORCE_CAP:
         raise ColoringError(
             f"brute force capped at {BRUTE_FORCE_CAP} tours, got {len(tour_list)}")

@@ -56,7 +56,7 @@ def validate_tour(net: Network, tour: Tour) -> None:
     for v in tour.path:
         if not 1 <= v <= net.n:
             raise TourError(f"tour {tour.id}: node {v} out of range [1, {net.n}]")
-    for u, v in tour.links():
+    for u, v in zip(tour.path, tour.path[1:]):
         if not net.has_edge(u, v):
             raise TourError(f"tour {tour.id}: ({u}, {v}) is not an edge of the network")
 
@@ -181,8 +181,9 @@ def bit_positions(mask: int) -> list[int]:
 
 
 def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
-    """The conflict graph of the tour set, each tour validated and its
-    conflict sets built once.
+    """The conflict graph of the tour set, each tour's conflict sets built
+    once.  Like conflict_node_set, it takes tours that are already paths of
+    `net` (see validate_tour) and does not check them again.
 
     Two node masks per node x collect tour bits: N_x, the tours with x as
     a non-destination node, and C_x, the tours whose conflict_node_set
@@ -195,8 +196,6 @@ def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
     ids = [f.id for f in tour_list]
     if len(set(ids)) != len(ids):
         raise TourError(f"duplicate tour ids in {ids}")
-    for f in tour_list:
-        validate_tour(net, f)
     sets = [_conflict_sets(net, f) for f in tour_list]
     nondest_at = [0] * (net.n + 1)
     conflict_at = [0] * (net.n + 1)

@@ -39,7 +39,7 @@ class Network:
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
+        return v in self._adj.get(u, ())
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

@@ -1,4 +1,6 @@
-"""Shared fixtures: the crossed-ring example and small random instances.
+"""Shared fixtures: the crossed-ring example, small random instances, one
+malformed tour per validation failure, and the spider burst that
+overflows an Old-Go-First window.
 
 The crossed-ring network is a 4-cycle r-s-u-w-r (numbered 1-2-3-4) with
 four one-link tours whose conflict structure exercises every clause of
@@ -10,11 +12,12 @@ f3 conflict-free.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from radiosim import (LoadLedger, Network, Tour, build_network,
-                      make_random_connected, node_load)
+from radiosim import (AdversaryType, InjectionTrace, LoadLedger, Network,
+                      Tour, build_network, make_random_connected, node_load)
 
 # node names within the crossed ring
 R, S, U, W = 1, 2, 3, 4
@@ -37,6 +40,29 @@ def ring4_tours() -> dict[str, Tour]:
 
 # the conflict edges of the crossed-ring tour set, by tour id
 RING4_CONFLICT_EDGES = {(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}
+
+# one tour per way a path can fail validate_tour on make_path(4), with the
+# message it fails with
+MALFORMED_TOURS = [
+    pytest.param(Tour(1, 1, (1,)), "at least one link", id="no-link"),
+    pytest.param(Tour(1, 1, (1, 2, 1)), "not simple", id="not-simple"),
+    pytest.param(Tour(1, 1, (1, 9)), "out of range", id="out-of-range"),
+    pytest.param(Tour(1, 1, (1, 3)), "not an edge", id="non-edge"),
+]
+
+SPIDER_EDGES = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                (3, 7), (4, 8), (5, 9), (6, 10)]
+
+
+def spider_burst() -> tuple[Network, AdversaryType, InjectionTrace]:
+    """Admissible one-round burst whose conflict graph is a degree-4 star:
+    every per-node load stays at 2 while Delta + 1 = 5 exceeds the window's
+    phase-2 budget, so the L'*(Delta+1) feasibility formula overflows."""
+    net = build_network(10, SPIDER_EDGES)
+    adv = AdversaryType(Fraction(1, 90), 2, 1)
+    tours = (Tour(1, 1, (2, 1)),) + tuple(
+        Tour(1 + i, 1, (2 + i, 6 + i)) for i in range(1, 5))
+    return net, adv, InjectionTrace(tours, 1)
 
 
 def random_simple_path(net: Network, rng: random.Random,

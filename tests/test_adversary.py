@@ -11,7 +11,7 @@ from radiosim import (AdversaryError, AdversaryType, Balance, InjectionTrace,
                       gen_unbalanced_clique, make_clique, make_path,
                       make_random_connected, node_load, parse_trace, verify_admissible,
                       verify_admissible_all_intervals)
-from conftest import assert_genuine_witness, random_network
+from conftest import MALFORMED_TOURS, assert_genuine_witness, random_network
 
 
 def _adv(num, den, b, L):
@@ -88,11 +88,12 @@ def test_empty_trace_admissible():
     assert verify_admissible(net, InjectionTrace((), 10), _adv(1, 2, 1, 1)) is None
 
 
-def test_verifier_raises_on_invalid_tour():
+@pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
+def test_verifier_raises_on_invalid_tour(tour, match):
     from radiosim import TourError
     net = make_path(4)
-    trace = InjectionTrace((Tour(1, 1, (1, 3)),), 5)  # not an edge
-    with pytest.raises(TourError, match="not an edge"):
+    trace = InjectionTrace((tour,), 5)
+    with pytest.raises(TourError, match=match):
         verify_admissible(net, trace, _adv(1, 2, 1, 1))
 
 

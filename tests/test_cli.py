@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from radiosim import format_network, format_trace, make_path
+from radiosim import format_network, format_trace, format_tour, make_path
 from radiosim.cli import (EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, derive_seed,
                           load_network, main)
+from conftest import MALFORMED_TOURS, spider_burst
 
 
 def run_cli(*argv):
@@ -73,13 +74,36 @@ def test_sls_negative_tour_count_is_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_sls_rejects_multilink_tours(tmp_path):
+def test_sls_rejects_multilink_tours(tmp_path, capsys):
     netfile = tmp_path / "net.txt"
     netfile.write_text("n 3\ne 1 2\ne 2 3\n")
     toursfile = tmp_path / "tours.txt"
     toursfile.write_text("t 1 1 1 2 3\n")
     assert run_cli("sls", "--network", str(netfile),
                    "--tours", str(toursfile)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
+def test_sls_rejects_malformed_tour_file(tour, match, tmp_path, capsys):
+    netfile = tmp_path / "net.txt"
+    netfile.write_text(format_network(make_path(4)))
+    toursfile = tmp_path / "tours.txt"
+    toursfile.write_text(format_tour(tour) + "\n")
+    assert run_cli("sls", "--network", str(netfile),
+                   "--tours", str(toursfile)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_sls_generated_tours_need_an_edge(tmp_path, capsys):
+    netfile = tmp_path / "net.txt"
+    netfile.write_text("n 1\n")
+    assert run_cli("sls", "--network", str(netfile),
+                   "--gen-tours", "2") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- instability
@@ -111,6 +135,8 @@ def test_instability_malformed_gossip_is_usage_error(capsys):
 def test_instability_rejects_balanced_type(capsys):
     assert run_cli("instability", "--adv", "1/8:1:2", "--n", "6",
                    "--t", "2") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- ogf
@@ -134,6 +160,21 @@ def test_ogf_run_and_reproducible_csv(tmp_path, capsys):
 def test_ogf_rejects_unbalanced(capsys):
     assert run_cli("ogf", "--network", "gen:path:4",
                    "--adv", "1/2:1:3") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_ogf_broken_guarantee_exits_1(tmp_path, capsys):
+    net, adv, trace = spider_burst()
+    netfile = tmp_path / "net.txt"
+    netfile.write_text(format_network(net))
+    tracefile = tmp_path / "trace.txt"
+    tracefile.write_text(format_trace(adv, trace))
+    code = run_cli("ogf", "--network", str(netfile), "--adv", "1/90:2:1",
+                   "--trace", str(tracefile), "--horizon", "300")
+    assert code == EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL during run: window 2") and err.count("\n") == 1
 
 
 def test_ogf_loads_trace_file(tmp_path, capsys):
@@ -225,11 +266,13 @@ def test_verify_trace_flags_stretch(tmp_path, capsys):
     assert "stretch" in capsys.readouterr().out
 
 
-def test_verify_trace_parse_error(tmp_path):
+def test_verify_trace_parse_error(tmp_path, capsys):
     tracefile = tmp_path / "trace.txt"
     tracefile.write_text("garbage\n")
     assert run_cli("verify-trace", "--network", "gen:path:3",
                    "--trace", str(tracefile)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- gossip-check

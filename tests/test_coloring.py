@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from radiosim import (Coloring, ColoringError, ConflictGraph, Tour,
+from radiosim import (Coloring, ColoringError, ConflictGraph, Tour, TourError,
                       build_conflict_graph, exact_chromatic, greedy_color,
                       is_proper, make_clique, make_path, max_degree,
                       optimal_sls_length, schedule_from_coloring,
                       verify_schedule)
-from conftest import random_network, random_tours
+from conftest import MALFORMED_TOURS, random_network, random_tours
 
 
 def _graph(vertices, edges):
@@ -208,6 +208,15 @@ def test_verify_schedule_errors():
     with pytest.raises(ColoringError, match="not scheduled"):
         verify_schedule(net, [Tour(1, 1, (1, 2))],
                         schedule_from_coloring(Coloring({}, 0)))
+
+
+@pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
+def test_sls_entries_reject_malformed_tour(tour, match):
+    net = make_path(4)
+    with pytest.raises(TourError, match=match):
+        verify_schedule(net, [tour], schedule_from_coloring(Coloring({1: 1}, 1)))
+    with pytest.raises(TourError, match=match):
+        optimal_sls_length(net, [tour])
 
 
 # ---------------------------------------------------------------- brute force

@@ -8,7 +8,8 @@ import pytest
 from radiosim import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
                       Heard, InjectionTrace, Message, NodeState, RoundRobin,
                       RoutingAlgorithm, Tour, Transmit, build_network,
-                      make_clique, make_path, run, step)
+                      TourError, make_clique, make_path, run, step)
+from conftest import MALFORMED_TOURS
 
 
 def _tx(payload=None):
@@ -140,6 +141,12 @@ def test_always_listen_never_delivers():
     metrics = run(net, AlwaysListen(), trace, 20)
     assert not metrics.deliveries
     assert metrics.final_backlog() == 1
+
+
+@pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
+def test_run_rejects_malformed_tour(tour, match):
+    with pytest.raises(TourError, match=match):
+        run(make_path(4), AlwaysListen(), InjectionTrace((tour,), 1), 5)
 
 
 def test_round_robin_single_transmitter_never_collides():

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
-                      NodeState, OgfError, QueuedTour, Tour, Transmit,
-                      WindowOverflowError, build_network, compute_window_bound,
-                      gen_balanced, make_clique, make_path,
-                      make_random_connected, phase2_action, plan_window,
-                      run_ogf, tdma_gossip_schedule)
+                      NodeState, OgfError, QueuedTour, Tour, TourError,
+                      Transmit, WindowOverflowError, build_network,
+                      compute_window_bound, gen_balanced, make_clique,
+                      make_path, make_random_connected, phase2_action,
+                      plan_window, run_ogf, tdma_gossip_schedule)
 from radiosim import engine, ogf
+from conftest import MALFORMED_TOURS, spider_burst
 
 
 def _adv(num, den, b, L):
@@ -312,23 +313,8 @@ def test_window_too_small_for_gossip_rejected():
                 window_override=12)
 
 
-SPIDER_EDGES = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
-                (3, 7), (4, 8), (5, 9), (6, 10)]
-
-
-def _spider_burst():
-    """Admissible one-round burst whose conflict graph is a degree-4 star:
-    every per-node load stays at 2 while Delta + 1 = 5 exceeds the window's
-    phase-2 budget, so the L'*(Delta+1) feasibility formula overflows."""
-    net = build_network(10, SPIDER_EDGES)
-    adv = AdversaryType(Fraction(1, 90), 2, 1)
-    tours = (Tour(1, 1, (2, 1)),) + tuple(
-        Tour(1 + i, 1, (2 + i, 6 + i)) for i in range(1, 5))
-    return net, adv, InjectionTrace(tours, 1)
-
-
 def test_admissible_burst_can_overflow_window_strict_raises():
-    net, adv, trace = _spider_burst()
+    net, adv, trace = spider_burst()
     from radiosim import verify_admissible
     assert verify_admissible(net, trace, adv) is None
     with pytest.raises(WindowOverflowError, match="window 2"):
@@ -336,10 +322,23 @@ def test_admissible_burst_can_overflow_window_strict_raises():
 
 
 def test_overflowed_window_lenient_still_delivers():
-    net, adv, trace = _spider_burst()
+    net, adv, trace = spider_burst()
     res = run_ogf(net, adv, GossipConfig.tdma(), trace, 400, strict=False)
     assert res.metrics.delivered_total == 5
     assert any(w.truncated for w in res.windows)
+
+
+@pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
+def test_lenient_run_rejects_malformed_tour(tour, match):
+    with pytest.raises(TourError, match=match):
+        run_ogf(make_path(4), _adv(1, 8, 1, 2), GossipConfig.tdma(),
+                InjectionTrace((tour,), 1), 10, strict=False)
+
+
+def test_guarantee_error_is_exported():
+    import radiosim
+    assert issubclass(radiosim.WindowOverflowError, radiosim.GuaranteeError)
+    assert radiosim.GuaranteeError is ogf.GuaranteeError
 
 
 def test_lenient_carryover_preserves_soundness_under_saturation():

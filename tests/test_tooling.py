@@ -1,4 +1,5 @@
-"""Repository-wide checks: the demos run, and src/ holds no assert."""
+"""Repository-wide checks: the demos run, src/ holds no assert, and tours
+are validated only where they enter the library."""
 
 from __future__ import annotations
 
@@ -30,3 +31,36 @@ def test_no_assert_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/radiosim: {found}"
+
+
+# the functions that take tours from a caller; every other function
+# receives tours that are already paths of the network
+TOUR_BOUNDARY = {
+    "adversary.LoadLedger.__init__",
+    "adversary.verify_admissible",
+    "adversary.verify_admissible_all_intervals",
+    "coloring.one_link_tours",
+    "conflict.node_tour_conflicts",
+    "conflict.tours_conflict",
+    "engine.run",
+}
+
+
+def test_validate_tour_called_only_at_the_boundary():
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "validate_tour":
+                callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert callers == TOUR_BOUNDARY, sorted(callers ^ TOUR_BOUNDARY)
