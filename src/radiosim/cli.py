@@ -239,10 +239,8 @@ def cmd_ogf(args) -> int:
     horizon = args.horizon if args.horizon else 10 * u
 
     if args.trace:
+        # strict run_ogf rejects an inadmissible trace
         _, trace = adversary.parse_trace(Path(args.trace).read_text())
-        violation = adversary.verify_admissible(net, trace, adv)
-        if violation is not None:
-            raise adversary.AdversaryError(f"loaded trace inadmissible: {violation}")
     else:
         try:
             scale = Fraction(args.gen_scale)
@@ -415,7 +413,7 @@ def main(argv=None) -> int:
         return EXIT_SCIENCE
     except (network.NetworkError, conflict.TourError, adversary.AdversaryError,
             coloring.ColoringError, ogf.OgfError, engine.EngineError,
-            OSError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,8 +6,9 @@ transmits in that round; with two or more transmitting neighbors the
 messages collide.  A transmitting node hears nothing.
 
 The engine owns ground truth: queues, packet movement, deliveries and
-metrics.  Routing algorithms see only their node's local state and
-whatever they hear.
+metrics.  A routing algorithm acts through two hooks: `on_round` picks a
+node's action from its local state, and `on_hear` receives what the node
+hears.
 """
 
 from __future__ import annotations
@@ -135,19 +136,13 @@ class NodeState:
 
 
 class RoutingAlgorithm:
-    """Distributed transmission policy interface.
+    """Distributed transmission policy interface with two hooks.
 
-    All hooks receive only the local NodeState; inter-node information
-    must flow through heard messages.  `on_run_start` exposes the full
-    state table and exists solely for measurement-only modes (e.g. oracle
-    gossip); ordinary algorithms must ignore it.
+    `on_round(state, r)` returns the node's action for round r, once per
+    node and round; `on_hear(state, sender, message)` delivers each message
+    the node hears.  Both receive only the local NodeState, so inter-node
+    information must flow through heard messages.
     """
-
-    def on_run_start(self, net: Network, states: dict[int, NodeState]) -> None:
-        pass
-
-    def on_inject(self, state: NodeState, tour: Tour) -> None:
-        pass
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
         return LISTEN
@@ -247,7 +242,6 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
 
     by_round = trace.by_round()
     states = {v: NodeState(v, net.n) for v in net.nodes()}
-    algorithm.on_run_start(net, states)
 
     metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
     peaks = metrics.max_queue_per_node
@@ -255,11 +249,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
 
     for r in range(1, horizon + 1):
         for tour in by_round.get(r, ()):
-            src = states[tour.source]
-            src.queue[tour.id] = QueuedTour(tour, 0)
+            states[tour.source].queue[tour.id] = QueuedTour(tour, 0)
             metrics.injected_total += 1
             hops += tour.length
-            algorithm.on_inject(src, tour)
 
         actions: dict[int, Action] = {}
         for v, state in states.items():

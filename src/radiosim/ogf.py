@@ -23,7 +23,7 @@ from .adversary import (AdversaryType, Balance, InjectionTrace, classify,
 from .coloring import Coloring, greedy_color
 from .conflict import Tour, build_conflict_graph, max_degree
 from .engine import (LISTEN, Action, Message, Metrics, NodeState,
-                     RoutingAlgorithm, Transmit)
+                     QueuedTour, RoutingAlgorithm, Transmit)
 from .network import Network
 
 
@@ -48,7 +48,11 @@ class GossipConfig:
     tdma: node ((r-1) mod n)+1 transmits its whole rumor set in phase-round
     r; n-1 sweeps of n rounds, so S(n) = n*(n-1).  oracle: knowledge is
     shared instantaneously at phase start while a configurable S(n) rounds
-    still elapse (a measurement mode for studying other gossip costs).
+    still elapse (a measurement mode for studying other gossip costs).  The
+    oracle's knowledge is the union of every node's own window-start
+    snapshot, so it needs every node's `on_round` to run in the window's
+    first round; an engine that lets idle nodes sleep must still wake each
+    node then.
     """
 
     mode: str
@@ -111,9 +115,6 @@ class WindowPlan:
     def phase2_length(self) -> int:
         return self.l_prime * (self.delta + 1)
 
-    def color_of(self, tour_id: int) -> int | None:
-        return self.coloring.assignment.get(tour_id)
-
 
 def plan_window(net: Network, old_tours: list[Tour], w: int = 0) -> WindowPlan:
     """Build the window plan: longest old tour, conflict-graph degree, and a
@@ -125,6 +126,34 @@ def plan_window(net: Network, old_tours: list[Tour], w: int = 0) -> WindowPlan:
     return WindowPlan(w, l_prime, delta, coloring)
 
 
+def _resident_by_color(plan: WindowPlan, state: NodeState) -> dict[int, QueuedTour]:
+    """The node's resident old tours by plan color, from one queue scan.
+
+    Raises GuaranteeError when two resident tours share a color: same-colored
+    tours never conflict, so no node can hold two of them.
+    """
+    assignment = plan.coloring.assignment
+    by_color: dict[int, QueuedTour] = {}
+    for tid, qt in state.queue.items():
+        c = assignment.get(tid)
+        if c is None:
+            continue
+        if c in by_color:
+            raise GuaranteeError(
+                f"node {state.name}: tours {by_color[c].tour.id} and {tid} both "
+                f"resident with color {c}; per-color residency invariant violated")
+        by_color[c] = qt
+    return by_color
+
+
+def _color_action(plan: WindowPlan, resident: dict[int, QueuedTour],
+                  offset: int) -> Action:
+    qt = resident.get(offset % (plan.delta + 1) + 1)
+    if qt is None:
+        return LISTEN
+    return Transmit(Message(tour=qt.tour, progress=qt.progress))
+
+
 def phase2_action(plan: WindowPlan, state: NodeState, offset: int) -> Action:
     """Transmission policy within phase 2.
 
@@ -134,16 +163,7 @@ def phase2_action(plan: WindowPlan, state: NodeState, offset: int) -> Action:
     """
     if not 0 <= offset < plan.phase2_length:
         raise OgfError(f"phase-2 offset {offset} outside [0, {plan.phase2_length})")
-    i = offset % (plan.delta + 1) + 1
-    holding = [qt for tid, qt in state.queue.items() if plan.color_of(tid) == i]
-    if len(holding) > 1:
-        raise GuaranteeError(
-            f"node {state.name}: {len(holding)} resident tours of color {i}; "
-            "per-color residency invariant violated")
-    if holding:
-        qt = holding[0]
-        return Transmit(Message(tour=qt.tour, progress=qt.progress))
-    return LISTEN
+    return _color_action(plan, _resident_by_color(plan, state), offset)
 
 
 @dataclass
@@ -186,33 +206,27 @@ class OldGoFirst(RoutingAlgorithm):
         self.queue_bound = queue_bound
         self.window_log: list[WindowStats] = []
         self.invariant_checks = 0
-        self._states: dict[int, NodeState] | None = None
-        self._oracle_cache: dict[int, dict[int, tuple[Tour, int]]] = {}
+        # oracle gossip: window start -> union of the nodes' snapshots
+        self._oracle: dict[int, dict[int, tuple[Tour, int]]] = {}
         # nodes with identical rumor sets compute identical plans; share them
         self._plan_cache: dict[tuple[int, frozenset], WindowPlan] = {}
-
-    def on_run_start(self, net: Network, states: dict[int, NodeState]) -> None:
-        if self.gossip.mode == "oracle":
-            self._states = states
 
     # -- window bookkeeping ------------------------------------------------
 
     def _snapshot(self, state: NodeState, window_start: int) -> None:
         """Freeze this node's old tours (anything injected before the window)
-        as its initial rumor set; drop last window's knowledge."""
+        as its initial rumor set; drop last window's knowledge.  Under oracle
+        gossip the rumor set is the window's shared union, which every node
+        extends with its own snapshot."""
         rumors = {tid: (qt.tour, qt.progress)
                   for tid, qt in state.queue.items()
                   if qt.tour.injection_round < window_start}
         if self.gossip.mode == "oracle":
-            window_index = (window_start - 1) // self.w + 1
-            if window_index not in self._oracle_cache:
-                merged: dict[int, tuple[Tour, int]] = {}
-                for other in self._states.values():
-                    for tid, qt in other.queue.items():
-                        if qt.tour.injection_round < window_start:
-                            merged[tid] = (qt.tour, qt.progress)
-                self._oracle_cache = {window_index: merged}
-            rumors = dict(self._oracle_cache[window_index])
+            if window_start not in self._oracle:
+                self._oracle = {window_start: {}}
+            union = self._oracle[window_start]
+            union.update(rumors)
+            rumors = union
         state.memory["rumors"] = rumors
         state.memory["plan"] = None
 
@@ -241,42 +255,25 @@ class OldGoFirst(RoutingAlgorithm):
                 plan.phase2_length, not fits))
         return plan
 
-    def _check_residency(self, state: NodeState, plan: WindowPlan) -> None:
-        colors_seen: dict[int, int] = {}
-        for tid in state.queue:
-            c = plan.color_of(tid)
-            if c is None:
-                continue
-            if c in colors_seen:
-                raise GuaranteeError(
-                    f"node {state.name}: tours {colors_seen[c]} and {tid} "
-                    f"both resident with color {c}")
-            colors_seen[c] = tid
-        self.invariant_checks += 1
-
     # -- routing interface ---------------------------------------------------
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
         offset = (round_no - 1) % self.w
-        window_start = round_no - offset
-        window_index = (round_no - 1) // self.w + 1
-
         if offset == 0:
-            self._snapshot(state, window_start)
+            self._snapshot(state, round_no)
 
         if offset < self.s_n:
             action = self._phase1_action(state, offset)
         else:
-            plan = self._ensure_plan(state, window_index)
-            p2_available = min(plan.phase2_length, self.w - self.s_n)
-            if offset < self.s_n + p2_available:
-                action = phase2_action(plan, state, offset - self.s_n)
+            plan = self._ensure_plan(state, (round_no - 1) // self.w + 1)
+            resident = _resident_by_color(plan, state)
+            self.invariant_checks += 1
+            # offset < w, so a truncated phase 2 ends at the window boundary
+            if offset - self.s_n < plan.phase2_length:
+                action = _color_action(plan, resident, offset - self.s_n)
             else:
                 action = LISTEN
 
-        plan = state.memory.get("plan")
-        if plan is not None:
-            self._check_residency(state, plan)
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:
             raise GuaranteeError(
                 f"node {state.name}: queue size {len(state.queue)} exceeds "
@@ -289,17 +286,13 @@ class OldGoFirst(RoutingAlgorithm):
         transmitter = (offset % state.n) + 1
         if state.name != transmitter:
             return LISTEN
-        rumors = state.memory.get("rumors", {})
-        payload = tuple((tid, tour, progress)
-                        for tid, (tour, progress) in sorted(rumors.items()))
+        payload = tuple(state.memory.get("rumors", {}).items())
         return Transmit(Message(control=("gossip", payload)))
 
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
         if (isinstance(message.control, tuple) and message.control
                 and message.control[0] == "gossip"):
-            rumors = state.memory.setdefault("rumors", {})
-            for tid, tour, progress in message.control[1]:
-                rumors[tid] = (tour, progress)
+            state.memory.setdefault("rumors", {}).update(message.control[1])
 
 
 @dataclass

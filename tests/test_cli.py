@@ -192,6 +192,20 @@ def test_ogf_loads_trace_file(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_ogf_rejects_inadmissible_loaded_trace(tmp_path, capsys):
+    netfile = tmp_path / "net.txt"
+    netfile.write_text(format_network(make_path(4)))
+    tracefile = tmp_path / "trace.txt"
+    # three conflicting injections in one round against budget 1/8 + 1
+    tracefile.write_text("adv 1/8 1 2\nt 1 1 1 2\nt 2 1 1 2\nt 3 1 1 2\n")
+    code = run_cli("ogf", "--network", str(netfile), "--adv", "1/8:1:2",
+                   "--trace", str(tracefile), "--horizon", "40")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "admissible" in err
+
+
 @pytest.mark.parametrize("option", [("--gossip", "oracle:x"),
                                     ("--gen-scale", "abc"),
                                     ("--attempts", "-1"),
@@ -283,6 +297,20 @@ def test_gossip_check_ok(capsys):
     assert "complete knowledge: yes" in capsys.readouterr().out
     assert run_cli("gossip-check", "--network", "gen:random:6:0.2",
                    "--seed", "4") == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["sls", "--network", "BIN"],
+    ["ogf", "--network", "gen:path:4", "--adv", "1/8:1:2", "--trace", "BIN"],
+    ["verify-trace", "--network", "gen:path:4", "--trace", "BIN"],
+], ids=["sls", "ogf", "verify-trace"])
+def test_non_utf8_input_is_usage_error(argv, tmp_path, capsys):
+    binary = tmp_path / "input.bin"
+    binary.write_bytes(b"\xff\xfe\x00\x80n 4\n")
+    code = run_cli(*(str(binary) if arg == "BIN" else arg for arg in argv))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_network_file_is_usage_error(tmp_path):

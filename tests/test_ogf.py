@@ -202,6 +202,23 @@ def test_phase2_action_detects_same_color_co_residency():
         phase2_action(plan, state, 0)
 
 
+@pytest.mark.parametrize("round_no", [73, 75],
+                         ids=["phase2-third-color", "after-phase2"])
+def test_on_round_checks_residency_in_every_plan_round(round_no):
+    # window 2 starts at round 41; tdma phase 1 takes 30 rounds, then the
+    # colors 1..4 get rounds 71..74 and rounds 75..80 listen
+    net = make_path(6)
+    tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6)),
+             Tour(3, 1, (2, 3)), Tour(4, 1, (3, 4))]
+    # tours 1 and 2 share color 1, so they cannot co-reside legally
+    state = _state_with(net, [(1, f, 0) for f in tours])
+    alg = ogf.OldGoFirst(net, 40, GossipConfig.tdma())
+    alg.on_round(state, 41)
+    with pytest.raises(ogf.GuaranteeError, match="resident"):
+        alg.on_round(state, round_no)
+    assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1, 3: 2, 4: 3}
+
+
 def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():
     net = make_path(4)
     adv = _adv(1, 8, 1, 2)
@@ -281,13 +298,21 @@ def test_latency_bound_holds_small_matrix():
 
 def test_oracle_and_tdma_agree_on_deliveries():
     # same trace, same S_n: oracle idles through phase 1 but must produce
-    # the identical delivery schedule
+    # the identical delivery schedule and window plans
     adv = _adv(1, 8, 1, 2)
-    net = make_path(4)
-    trace = gen_balanced(net, _derated(adv), 11, 120)
-    tdma = run_ogf(net, adv, GossipConfig.tdma(), trace, 120)
-    oracle = run_ogf(net, adv, GossipConfig.oracle(12), trace, 120)
-    assert tdma.metrics.deliveries == oracle.metrics.deliveries
+    for net, seed, horizon in [(make_path(4), 11, 120),
+                               (make_random_connected(6, 0.4, 3), 3, 260)]:
+        trace = gen_balanced(net, _derated(adv), seed, horizon)
+        tdma = run_ogf(net, adv, GossipConfig.tdma(), trace, horizon)
+        oracle = run_ogf(net, adv, GossipConfig.oracle(tdma.s_n), trace, horizon)
+        assert tdma.metrics.deliveries == oracle.metrics.deliveries
+        assert tdma.windows == oracle.windows
+    # on the random network some window's old tours start at several nodes,
+    # so the oracle's knowledge is the union of more than one snapshot
+    sources = {}
+    for f in trace.injections:
+        sources.setdefault((f.injection_round - 1) // tdma.w, set()).add(f.source)
+    assert max(map(len, sources.values())) > 1
 
 
 def test_rejects_unbalanced_without_override():

@@ -1,9 +1,11 @@
-"""Repository-wide checks: the demos run, src/ holds no assert, and tours
-are validated only where they enter the library."""
+"""Repository-wide checks: the demos run, src/ holds no assert, tours
+are validated only where they enter the library, and the benchmark's
+tracer finds every function it wraps."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -64,3 +66,16 @@ def test_validate_tour_called_only_at_the_boundary():
     for path in SOURCES:
         visit(ast.parse(path.read_text(), str(path)), path.stem)
     assert callers == TOUR_BOUNDARY, sorted(callers ^ TOUR_BOUNDARY)
+
+
+def test_tracer_targets_exist():
+    """`perfbench/tracing.py` wraps each target where callers look it up;
+    a target moved or renamed would otherwise fail only traced runs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracing._TARGETS
+               if attr not in owner.__dict__]
+    assert not missing, f"tracer targets not found: {missing}"
