@@ -26,6 +26,6 @@ from .network import (Network, NetworkError, build_network, format_network,
 from .ogf import (GossipConfig, GuaranteeError, OgfError, OgfResult,
                   OldGoFirst, WindowOverflowError, WindowPlan,
                   compute_window_bound, phase2_action, plan_window, run_ogf,
-                  tdma_gossip_schedule)
+                  tdma_gossip, tdma_gossip_schedule)
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ written for a fixed seed is byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import math
 import random
@@ -34,6 +35,15 @@ EXIT_USAGE = 2
 
 SUMMARY_HEADER = "scenario,seed,n,rho,b,L,u,max_latency,max_queue,verdict"
 GROWTH_SLOPE = 0.01  # backlog per round
+
+
+def read_input(path: str) -> str:
+    """An input file's text; like a missing one, a non-UTF-8 file is an OSError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text at byte {exc.start}",
+                      path) from None
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -60,7 +70,7 @@ def load_network(spec: str, seed: int) -> network.Network:
         except (IndexError, ValueError) as exc:
             raise network.NetworkError(f"bad generator spec {spec!r}: {exc}") from None
         raise network.NetworkError(f"unknown generator {kind!r} in {spec!r}")
-    return network.parse_network(Path(spec).read_text())
+    return network.parse_network(read_input(spec))
 
 
 def parse_gossip(spec: str) -> ogf.GossipConfig:
@@ -127,7 +137,7 @@ def _summary(scenario: str, seed: int, n: int, adv: adversary.AdversaryType | No
 
 def _one_link_tours_from_file(path: str) -> list[conflict.Tour]:
     tours = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,7 +250,7 @@ def cmd_ogf(args) -> int:
 
     if args.trace:
         # strict run_ogf rejects an inadmissible trace
-        _, trace = adversary.parse_trace(Path(args.trace).read_text())
+        _, trace = adversary.parse_trace(read_input(args.trace))
     else:
         try:
             scale = Fraction(args.gen_scale)
@@ -295,7 +305,7 @@ def _overdue_tours(trace, metrics, horizon: int, age_limit: int) -> list[int]:
 
 
 def cmd_verify_trace(args) -> int:
-    adv, trace = adversary.parse_trace(Path(args.trace).read_text())
+    adv, trace = adversary.parse_trace(read_input(args.trace))
     net = load_network(args.network, args.seed)
     if args.adv:
         adv = adversary.AdversaryType.parse(args.adv)
@@ -312,23 +322,13 @@ def cmd_verify_trace(args) -> int:
 
 def cmd_gossip_check(args) -> int:
     net = load_network(args.network, args.seed)
-    rounds = ogf.tdma_gossip_schedule(net.n)
-    knowledge = {v: {v} for v in net.nodes()}
-    for r, transmitter in enumerate(rounds, start=1):
-        actions = {v: engine.LISTEN for v in net.nodes()}
-        actions[transmitter] = engine.Transmit(
-            engine.Message(control=("rumors", tuple(sorted(knowledge[transmitter])))))
-        outcome = engine.step(net, actions)
-        for v in net.nodes():
-            out = outcome[v]
-            if isinstance(out, engine.Heard):
-                knowledge[v] |= set(out.message.control[1])
-    complete = all(knowledge[v] == set(net.nodes()) for v in net.nodes())
-    print(f"TDMA gossip on n={net.n}: S(n) = {len(rounds)} rounds, "
-          f"complete knowledge: {'yes' if complete else 'NO'}")
-    if not complete:
-        missing = {v: sorted(set(net.nodes()) - knowledge[v])
-                   for v in net.nodes() if knowledge[v] != set(net.nodes())}
+    knowledge = ogf.tdma_gossip(net, {v: {v: None} for v in net.nodes()})
+    nodes = set(net.nodes())
+    missing = {v: sorted(nodes - known.keys())
+               for v, known in knowledge.items() if known.keys() != nodes}
+    print(f"TDMA gossip on n={net.n}: S(n) = {ogf.GossipConfig.tdma().rounds(net.n)} "
+          f"rounds, complete knowledge: {'NO' if missing else 'yes'}")
+    if missing:
         print(f"missing rumors: {missing}", file=sys.stderr)
         return EXIT_SCIENCE
     return EXIT_OK
@@ -344,11 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "saturation, and bounded-latency runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, network_required=True):
-        if network_required:
-            p.add_argument("--network", required=True,
-                           help="file path or gen:clique:N | gen:path:N | "
-                                "gen:cycle:N | gen:random:N:P")
+    def common(p):
+        p.add_argument("--network", required=True,
+                       help="file path or gen:clique:N | gen:path:N | "
+                            "gen:cycle:N | gen:random:N:P")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default=None, help="directory for CSV outputs")
 
@@ -412,8 +411,7 @@ def main(argv=None) -> int:
         print(f"FAIL during run: {exc}", file=sys.stderr)
         return EXIT_SCIENCE
     except (network.NetworkError, conflict.TourError, adversary.AdversaryError,
-            coloring.ColoringError, ogf.OgfError, engine.EngineError,
-            OSError, UnicodeDecodeError) as exc:
+            coloring.ColoringError, ogf.OgfError, engine.EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,9 +32,6 @@ class Coloring:
     assignment: dict[int, int]
     num_colors: int
 
-    def color(self, tour_id: int) -> int:
-        return self.assignment[tour_id]
-
 
 @dataclass(frozen=True)
 class Schedule:

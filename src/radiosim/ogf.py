@@ -90,11 +90,41 @@ def compute_window_bound(adv: AdversaryType, s_n: int) -> int:
     return u
 
 
+def _transmitter(n: int, offset: int) -> int:
+    """Phase-1 offset o (0-based) belongs to node (o mod n) + 1."""
+    return (offset % n) + 1
+
+
 def tdma_gossip_schedule(n: int) -> list[int]:
     """Transmitter per phase-1 round: n-1 sweeps of nodes 1..n."""
     if n < 2:
         raise OgfError(f"gossip schedule needs n >= 2, got {n}")
-    return [(r % n) + 1 for r in range(n * (n - 1))]
+    return [_transmitter(n, r) for r in range(n * (n - 1))]
+
+
+def gossip_action(state: NodeState, offset: int) -> Action:
+    """Phase-1 action: the offset's transmitter sends its rumor items."""
+    if state.name != _transmitter(state.n, offset):
+        return LISTEN
+    return Transmit(Message(control=tuple(state.memory["rumors"].items())))
+
+
+def merge_gossip(state: NodeState, message: Message) -> None:
+    """Merge the rumor items of a heard phase-1 message into the node's own."""
+    state.memory["rumors"].update(message.control)
+
+
+def tdma_gossip(net: Network, rumors: dict[int, dict]) -> dict[int, dict]:
+    """Run TDMA phase 1 alone for S(n) rounds through the hearing rule, from
+    node v's starting rumor dict `rumors[v]`; returns each node's final one."""
+    states = {v: NodeState(v, net.n, memory={"rumors": dict(rumors[v])})
+              for v in net.nodes()}
+    for offset in range(len(tdma_gossip_schedule(net.n))):
+        actions = {v: gossip_action(state, offset) for v, state in states.items()}
+        for v, out in engine.step(net, actions).items():
+            if isinstance(out, engine.Heard):
+                merge_gossip(states[v], out.message)
+    return {v: state.memory["rumors"] for v, state in states.items()}
 
 
 @dataclass(frozen=True)
@@ -106,7 +136,6 @@ class WindowPlan:
     normal operation where every old tour sits at its source.
     """
 
-    w: int
     l_prime: int
     delta: int
     coloring: Coloring
@@ -116,14 +145,14 @@ class WindowPlan:
         return self.l_prime * (self.delta + 1)
 
 
-def plan_window(net: Network, old_tours: list[Tour], w: int = 0) -> WindowPlan:
+def plan_window(net: Network, old_tours: list[Tour]) -> WindowPlan:
     """Build the window plan: longest old tour, conflict-graph degree, and a
     first-fit coloring in ascending tour id order."""
     cg = build_conflict_graph(net, old_tours)
     l_prime = max((f.length for f in old_tours), default=0)
     delta = max_degree(cg)
     coloring = greedy_color(cg)
-    return WindowPlan(w, l_prime, delta, coloring)
+    return WindowPlan(l_prime, delta, coloring)
 
 
 def _resident_by_color(plan: WindowPlan, state: NodeState) -> dict[int, QueuedTour]:
@@ -241,7 +270,7 @@ class OldGoFirst(RoutingAlgorithm):
         if plan is None:
             remaining = [Tour(tid, tour.injection_round, tour.path[progress:])
                          for tid, (tour, progress) in sorted(rumors.items())]
-            plan = plan_window(self.net, remaining, self.w)
+            plan = plan_window(self.net, remaining)
             self._plan_cache = {key: plan}
         fits = self.s_n + plan.phase2_length <= self.w
         if not fits and self.strict:
@@ -263,7 +292,8 @@ class OldGoFirst(RoutingAlgorithm):
             self._snapshot(state, round_no)
 
         if offset < self.s_n:
-            action = self._phase1_action(state, offset)
+            action = (LISTEN if self.gossip.mode == "oracle"
+                      else gossip_action(state, offset))
         else:
             plan = self._ensure_plan(state, (round_no - 1) // self.w + 1)
             resident = _resident_by_color(plan, state)
@@ -280,19 +310,10 @@ class OldGoFirst(RoutingAlgorithm):
                 f"bound {self.queue_bound}")
         return action
 
-    def _phase1_action(self, state: NodeState, offset: int) -> Action:
-        if self.gossip.mode == "oracle":
-            return LISTEN
-        transmitter = (offset % state.n) + 1
-        if state.name != transmitter:
-            return LISTEN
-        payload = tuple(state.memory.get("rumors", {}).items())
-        return Transmit(Message(control=("gossip", payload)))
-
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
-        if (isinstance(message.control, tuple) and message.control
-                and message.control[0] == "gossip"):
-            state.memory.setdefault("rumors", {}).update(message.control[1])
+        # all nodes run this policy; its phase-2 messages carry no control
+        if message.control is not None:
+            merge_gossip(state, message)
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Shared fixtures: the crossed-ring example, small random instances, one
-malformed tour per validation failure, and the spider burst that
-overflows an Old-Go-First window.
+"""Shared fixtures: the crossed-ring example, every small connected
+network, small random instances, one malformed tour per validation
+failure, and the spider burst that overflows an Old-Go-First window.
 
 The crossed-ring network is a 4-cycle r-s-u-w-r (numbered 1-2-3-4) with
 four one-link tours whose conflict structure exercises every clause of
@@ -11,13 +11,15 @@ f3 conflict-free.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from radiosim import (AdversaryType, InjectionTrace, LoadLedger, Network,
-                      Tour, build_network, make_random_connected, node_load)
+                      NetworkError, Tour, build_network, make_random_connected,
+                      node_load)
 
 # node names within the crossed ring
 R, S, U, W = 1, 2, 3, 4
@@ -63,6 +65,19 @@ def spider_burst() -> tuple[Network, AdversaryType, InjectionTrace]:
     tours = (Tour(1, 1, (2, 1)),) + tuple(
         Tour(1 + i, 1, (2 + i, 6 + i)) for i in range(1, 5))
     return net, adv, InjectionTrace(tours, 1)
+
+
+def all_connected_networks(n: int) -> list[Network]:
+    """All labeled connected graphs on nodes 1..n."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    nets = []
+    for bits in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+        try:
+            nets.append(build_network(n, edges))
+        except NetworkError:
+            continue
+    return nets
 
 
 def random_simple_path(net: Network, rng: random.Random,

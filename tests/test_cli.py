@@ -311,6 +311,7 @@ def test_non_utf8_input_is_usage_error(argv, tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(binary) in err
 
 
 def test_missing_network_file_is_usage_error(tmp_path):

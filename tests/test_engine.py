@@ -1,15 +1,14 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from radiosim import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
                       Heard, InjectionTrace, Message, NodeState, RoundRobin,
-                      RoutingAlgorithm, Tour, Transmit, build_network,
-                      TourError, make_clique, make_path, run, step)
-from conftest import MALFORMED_TOURS
+                      RoutingAlgorithm, Tour, TourError, Transmit, make_clique,
+                      make_path, run, step)
+from conftest import MALFORMED_TOURS, all_connected_networks
 
 
 def _tx(payload=None):
@@ -67,24 +66,11 @@ def test_invalid_action_rejected():
         step(net, {1: "transmit", 2: LISTEN})
 
 
-def _all_connected_networks(n):
-    """All labeled connected graphs on nodes 1..n."""
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    nets = []
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        try:
-            nets.append(build_network(n, edges))
-        except Exception:
-            continue
-    return nets
-
-
 def test_hearing_rule_exhaustive_small():
     """step matches a direct statement of the hearing rule on every labeled
     connected network with up to 4 nodes and every transmitter subset."""
     for n in (1, 2, 3, 4):
-        for net in _all_connected_networks(n):
+        for net in all_connected_networks(n):
             nodes = list(net.nodes())
             for tx_bits in range(1 << n):
                 transmitters = {nodes[i] for i in range(n) if tx_bits >> i & 1}

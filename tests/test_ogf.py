@@ -8,12 +8,12 @@ import pytest
 
 from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
                       NodeState, OgfError, QueuedTour, Tour, TourError,
-                      Transmit, WindowOverflowError, build_network,
-                      compute_window_bound, gen_balanced, make_clique,
-                      make_path, make_random_connected, phase2_action,
-                      plan_window, run_ogf, tdma_gossip_schedule)
-from radiosim import engine, ogf
-from conftest import MALFORMED_TOURS, spider_burst
+                      Transmit, WindowOverflowError, compute_window_bound,
+                      gen_balanced, make_clique, make_path,
+                      make_random_connected, phase2_action, plan_window,
+                      run_ogf, tdma_gossip, tdma_gossip_schedule)
+from radiosim import ogf
+from conftest import MALFORMED_TOURS, all_connected_networks, spider_burst
 
 
 def _adv(num, den, b, L):
@@ -69,49 +69,16 @@ def test_tdma_schedule_length_and_sweeps():
     assert sched[:5] == [1, 2, 3, 4, 5] and sched[5:10] == [1, 2, 3, 4, 5]
 
 
-def _propagate(net, rumors_at):
-    """Run the TDMA phase standalone; returns final knowledge per node."""
-    knowledge = {v: set(rumors_at.get(v, ())) for v in net.nodes()}
-    for transmitter in tdma_gossip_schedule(net.n):
-        actions = {v: LISTEN for v in net.nodes()}
-        actions[transmitter] = Transmit(engine.Message(
-            control=("rumors", tuple(sorted(knowledge[transmitter])))))
-        outcome = engine.step(net, actions)
-        for v in net.nodes():
-            out = outcome[v]
-            if isinstance(out, engine.Heard):
-                knowledge[v] |= set(out.message.control[1])
-    return knowledge
-
-
 def test_gossip_path3_rumor_reaches_far_end_within_two_sweeps():
-    net = make_path(3)
-    knowledge = {v: {v} for v in net.nodes()}
-    for r, transmitter in enumerate(tdma_gossip_schedule(3), start=1):
-        actions = {v: LISTEN for v in net.nodes()}
-        actions[transmitter] = Transmit(engine.Message(
-            control=("rumors", tuple(sorted(knowledge[transmitter])))))
-        outcome = engine.step(net, actions)
-        for v in net.nodes():
-            out = outcome[v]
-            if isinstance(out, engine.Heard):
-                knowledge[v] |= set(out.message.control[1])
-        if r == 6:  # end of sweep 2
-            assert 1 in knowledge[3]
+    # S(3) = 6 rounds is two sweeps
+    assert 1 in tdma_gossip(make_path(3), {v: {v: None} for v in (1, 2, 3)})[3]
 
 
 def test_gossip_complete_on_every_small_connected_network():
-    import itertools
     for n in (2, 3, 4, 5):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            try:
-                net = build_network(n, edges)
-            except Exception:
-                continue
-            knowledge = _propagate(net, {v: {v} for v in net.nodes()})
-            assert all(knowledge[v] == set(net.nodes()) for v in net.nodes())
+        for net in all_connected_networks(n):
+            knowledge = tdma_gossip(net, {v: {v: None} for v in net.nodes()})
+            assert all(knowledge[v].keys() == set(net.nodes()) for v in net.nodes())
 
 
 def test_gossip_config_validation():
@@ -155,7 +122,7 @@ def _state_with(net, queued):
 def test_phase2_action_transmits_matching_color():
     net = make_path(4)
     tour = Tour(5, 1, (2, 3, 4))
-    plan = plan_window(net, [tour], w=30)
+    plan = plan_window(net, [tour])
     state = _state_with(net, [(2, tour, 0)])
     # delta 0: super-rounds are single rounds; color 1 transmits at offset 0
     action = phase2_action(plan, state, 0)
@@ -163,7 +130,7 @@ def test_phase2_action_transmits_matching_color():
 
 
 def test_phase2_action_listens_on_color_mismatch(ring4, ring4_tours):
-    plan = plan_window(ring4, list(ring4_tours.values()), w=40)
+    plan = plan_window(ring4, list(ring4_tours.values()))
     f4 = ring4_tours["f4"]  # color 3 under ascending-id greedy
     state = _state_with(ring4, [(1, f4, 0)])
     assert plan.coloring.assignment[4] == 3
@@ -176,14 +143,14 @@ def test_phase2_action_ignores_unplanned_tours():
     net = make_path(4)
     old = Tour(1, 1, (1, 2))
     new = Tour(2, 55, (3, 4))
-    plan = plan_window(net, [old], w=30)
+    plan = plan_window(net, [old])
     state = _state_with(net, [(3, new, 0)])
     assert phase2_action(plan, state, 0) is LISTEN
 
 
 def test_phase2_action_offset_range():
     net = make_path(3)
-    plan = plan_window(net, [Tour(1, 1, (1, 2))], w=30)
+    plan = plan_window(net, [Tour(1, 1, (1, 2))])
     state = _state_with(net, [(1, Tour(1, 1, (1, 2)), 0)])
     with pytest.raises(OgfError, match="offset"):
         phase2_action(plan, state, plan.phase2_length)
@@ -193,7 +160,7 @@ def test_phase2_action_detects_same_color_co_residency():
     net = make_path(6)
     # two far-apart tours do not conflict, so they share color 1
     t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6))
-    plan = plan_window(net, [t1, t2], w=40)
+    plan = plan_window(net, [t1, t2])
     assert plan.coloring.assignment == {1: 1, 2: 1}
     state = NodeState(name=1, n=6)
     state.queue[1] = QueuedTour(t1, 0)

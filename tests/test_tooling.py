@@ -1,6 +1,7 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
-are validated only where they enter the library, and the benchmark's
-tracer finds every function it wraps."""
+are validated only where they enter the library, every defaulted
+parameter is pinned, and the benchmark's tracer finds every function it
+wraps."""
 
 from __future__ import annotations
 
@@ -18,6 +19,19 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = sorted((ROOT / "src" / "radiosim").glob("*.py"))
 
 
+def _scoped_nodes():
+    """Each syntax node in src/radiosim with the module.qualname it is or sits in."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            inner = f"{scope}.{child.name}" if named else scope
+            yield inner, child
+            yield from visit(child, inner)
+
+    for path in SOURCES:
+        yield from visit(ast.parse(path.read_text(), str(path)), path.stem)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -28,9 +42,7 @@ def test_demo_runs(demo):
 
 def test_no_assert_in_src():
     """Guarantees must survive `python -O`, which strips assert statements."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = [f"{scope}:{node.lineno}" for scope, node in _scoped_nodes()
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/radiosim: {found}"
 
@@ -49,23 +61,41 @@ TOUR_BOUNDARY = {
 
 
 def test_validate_tour_called_only_at_the_boundary():
-    callers = set()
-
-    def visit(node, scope):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", getattr(func, "attr", None))
-            if name == "validate_tour":
-                callers.add(scope)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-            else:
-                visit(child, scope)
-
-    for path in SOURCES:
-        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    callers = {scope for scope, node in _scoped_nodes()
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "validate_tour"}
     assert callers == TOUR_BOUNDARY, sorted(callers ^ TOUR_BOUNDARY)
+
+
+# every parameter with a default value; a knob added or removed shows here
+DEFAULTED_PARAMETERS = {
+    "adversary._LoadEnvelope.add(c)",
+    "adversary.gen_balanced(attempts_per_round)",
+    "adversary.verify_admissible_all_intervals(horizon)",
+    "cli.main(argv)",
+    "coloring.greedy_color(order)",
+    "coloring.schedule_from_coloring(cg)",
+    "conflict.parse_tour_line(lineno)",
+    "engine.run(observer)",
+    "ogf.OldGoFirst.__init__(queue_bound)",
+    "ogf.OldGoFirst.__init__(strict)",
+    "ogf.run_ogf(strict)",
+    "ogf.run_ogf(window_override)",
+}
+
+
+def test_defaulted_parameters_are_pinned():
+    found = set()
+    for scope, node in _scoped_nodes():
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            found.update(f"{scope}({a.arg})" for a in
+                         positional[len(positional) - len(args.defaults):])
+            found.update(f"{scope}({a.arg})" for a, d in
+                         zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    assert found == DEFAULTED_PARAMETERS, sorted(found ^ DEFAULTED_PARAMETERS)
 
 
 def test_tracer_targets_exist():
