@@ -9,6 +9,12 @@ The engine owns ground truth: queues, packet movement, deliveries and
 metrics.  A routing algorithm acts through two hooks: `on_round` picks a
 node's action from its local state, and `on_hear` receives what the node
 hears.
+
+A node may sleep.  `on_round` may set `NodeState.wake` to the next round
+in which the node needs to act; until then `run` does not call `on_round`
+for it and the node listens.  A tour injected at the node, or any message
+the node hears, resets `wake` to 0, so the node acts again in the next
+round that reaches it.  A node that never sets `wake` acts in every round.
 """
 
 from __future__ import annotations
@@ -84,18 +90,38 @@ Outcome = Heard | _Silence | _Collision
 RoundOutcome = dict[int, Outcome]
 
 
+def hear(net: Network, sending: dict[int, Message]) -> RoundOutcome:
+    """Apply the hearing rule to the transmitters of one round.
+
+    `sending` maps each transmitting node to its message; every other node
+    listens.  The result holds an outcome only for the listeners next to a
+    transmitter: Heard when exactly one neighbor transmits, COLLISION when
+    two or more do.  Every node not in it hears SILENCE.  Each transmitter
+    registers with its neighbors, so the cost is the transmitters' degree
+    sum, not the network size.
+    """
+    # listener -> its one transmitting neighbor, or None for two or more
+    senders: dict[int, int | None] = {}
+    for v in sending:
+        for u in net.neighbors(v):
+            senders[u] = None if u in senders else v
+    heard: RoundOutcome = {}
+    for u, s in senders.items():
+        if u not in sending:
+            heard[u] = COLLISION if s is None else Heard(s, sending[s])
+    return heard
+
+
 def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
-    """Apply the hearing rule to one round of actions.
+    """Apply the hearing rule to one round of actions, one per node.
 
     Every node must have exactly one action.  A node hears iff it listens
     and exactly one of its neighbors transmits; it sees a collision iff it
     listens and two or more neighbors transmit; otherwise silence (a
-    transmitter always gets silence).  Each transmitter registers with its
-    neighbors, and a listener's outcome comes from the transmitters
-    registered with it, so no listener scans its own neighbors.
+    transmitter always gets silence).  The rule itself is `hear`; `step`
+    checks the action map and fills in SILENCE for every other node.
     """
-    # listener -> its one transmitting neighbor, or None for two or more
-    senders: dict[int, int | None] = {}
+    sending: dict[int, Message] = {}
     for v in net.nodes():
         if v not in actions:
             raise EngineError(f"node {v} has no action")
@@ -104,17 +130,13 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
             continue
         if not isinstance(a, Transmit):
             raise EngineError(f"node {v}: invalid action {a!r}")
-        for u in net.neighbors(v):
-            senders[u] = None if u in senders else v
+        sending[v] = a.message
     if len(actions) != net.n:
         extra = sorted(set(actions) - set(net.nodes()))
         raise EngineError(f"actions for unknown nodes {extra}")
 
     outcome: RoundOutcome = dict.fromkeys(net.nodes(), SILENCE)
-    for v, sender in senders.items():
-        if actions[v] is LISTEN:
-            outcome[v] = (COLLISION if sender is None
-                          else Heard(sender, actions[sender].message))
+    outcome.update(hear(net, sending))
     return outcome
 
 
@@ -127,21 +149,31 @@ class QueuedTour:
 @dataclass
 class NodeState:
     """Everything a routing algorithm may see for one node: its name, the
-    network size, its queue, and a private scratch dict."""
+    network size, its queue, a private scratch dict, and `wake`, the first
+    round in which it needs to act again (0: every round)."""
 
     name: int
     n: int
     queue: dict[int, QueuedTour] = field(default_factory=dict)
     memory: dict = field(default_factory=dict)
+    wake: int = 0
 
 
 class RoutingAlgorithm:
     """Distributed transmission policy interface with two hooks.
 
     `on_round(state, r)` returns the node's action for round r, once per
-    node and round; `on_hear(state, sender, message)` delivers each message
-    the node hears.  Both receive only the local NodeState, so inter-node
-    information must flow through heard messages.
+    node and round while the node is awake; `on_hear(state, sender,
+    message)` delivers each message the node hears, asleep or not.  Both
+    receive only the local NodeState, so inter-node information must flow
+    through heard messages.
+
+    `on_round` may set `state.wake` to a later round w to sleep: the node
+    then listens, without a call, in every round before w, unless a tour is
+    injected at it or it hears a message, either of which resets `wake` to
+    0.  A node should therefore sleep only through rounds in which, with
+    nothing injected and nothing heard, it would listen.  This base class
+    never sets `wake`, so its subclasses act in every round.
     """
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
@@ -220,19 +252,32 @@ class Metrics:
         return buf.getvalue()
 
 
-Observer = Callable[[int, dict[int, Action], RoundOutcome], None]
+Observer = Callable[[int, dict[int, Transmit], RoundOutcome], None]
 
 
 def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         observer: Observer | None = None) -> Metrics:
     """Run `horizon` rounds of the routing algorithm against an injection trace.
 
-    Per round: (1) deliver this round's injections into source queues,
-    (2) collect one action per node, (3) apply the hearing rule,
-    (4) move each heard tour one hop (and record delivery at its
-    destination), (5) append metrics.  Fully deterministic.
+    Per round r:
+    (1) put round r's injections into their source queues and wake the
+        sources;
+    (2) call `on_round` for each awake node (`r >= state.wake`) in node
+        order; a sleeping node listens;
+    (3) apply the hearing rule to the transmitters (`hear`);
+    (4) for each listener that heard a message: wake it, pass the message
+        to `on_hear`, move a heard tour one hop and record its delivery
+        at its destination;
+    (5) append the round's backlog, undelivered hops and largest queue,
+        raise the per-node peaks of the nodes whose queue gained a tour,
+        and check conservation.
+    Besides one wake-round comparison per node, a round's Python work is
+    O(awake nodes + the transmitters' neighborhoods); the queue sizes of
+    step (5) are read for every node at C level.  Fully deterministic.
 
-    `observer(round, actions, outcome)` is called after step (3); tests and
+    `observer(round, transmits, outcome)` is called after step (3) with the
+    transmitting nodes' actions and the non-silent outcomes (Heard or
+    COLLISION); every node missing from `outcome` heard silence.  Tests and
     harnesses use it to check hearing guarantees without touching queues.
     """
     if horizon < 0:
@@ -242,36 +287,52 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
 
     by_round = trace.by_round()
     states = {v: NodeState(v, net.n) for v in net.nodes()}
+    queues = [state.queue for state in states.values()]
 
     metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
     peaks = metrics.max_queue_per_node
     hops = 0  # links still to cross, over all queued tours
 
     for r in range(1, horizon + 1):
+        grew: set[int] = set()  # nodes whose queue gained a tour this round
         for tour in by_round.get(r, ()):
-            states[tour.source].queue[tour.id] = QueuedTour(tour, 0)
+            state = states[tour.source]
+            state.queue[tour.id] = QueuedTour(tour, 0)
+            state.wake = 0
+            grew.add(tour.source)
             metrics.injected_total += 1
             hops += tour.length
 
-        actions: dict[int, Action] = {}
+        transmits: dict[int, Transmit] = {}
+        sending: dict[int, Message] = {}
         for v, state in states.items():
+            if r < state.wake:
+                continue
             a = algorithm.on_round(state, r)
-            if isinstance(a, Transmit) and a.message.tour is not None:
-                qt = state.queue.get(a.message.tour.id)
-                if qt is None or qt.progress != a.message.progress:
+            if a is LISTEN:
+                continue
+            if not isinstance(a, Transmit):
+                raise EngineError(f"node {v}: invalid action {a!r}")
+            msg = a.message
+            if msg.tour is not None:
+                qt = state.queue.get(msg.tour.id)
+                if qt is None or qt.progress != msg.progress:
                     raise EngineError(
                         f"node {v} round {r}: transmitted tour "
-                        f"{a.message.tour.id} is not resident here")
-            actions[v] = a
+                        f"{msg.tour.id} is not resident here")
+            transmits[v] = a
+            sending[v] = msg
 
-        outcome = step(net, actions)
+        outcome = hear(net, sending)
         if observer is not None:
-            observer(r, actions, outcome)
+            observer(r, transmits, outcome)
 
         for v, out in outcome.items():
-            if not isinstance(out, Heard):
+            if out is COLLISION:
                 continue
-            algorithm.on_hear(states[v], out.sender, out.message)
+            state = states[v]
+            state.wake = 0
+            algorithm.on_hear(state, out.sender, out.message)
             msg = out.message
             if msg.tour is None:
                 continue
@@ -287,14 +348,16 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                     metrics.deliveries.append(
                         Delivery(f.id, f.injection_round, r, latency, f.length))
                 else:
-                    states[v].queue[f.id] = QueuedTour(f, p + 1)
+                    state.queue[f.id] = QueuedTour(f, p + 1)
+                    grew.add(v)
 
-        sizes = [len(state.queue) for state in states.values()]
+        sizes = list(map(len, queues))
         backlog = sum(sizes)
         metrics.backlog.append(backlog)
         metrics.undelivered_hops.append(hops)
         metrics.max_queue_per_round.append(max(sizes))
-        for v, q in zip(states, sizes):
+        for v in grew:
+            q = len(states[v].queue)
             if q > peaks[v]:
                 peaks[v] = q
         if metrics.injected_total != len(metrics.deliveries) + backlog:

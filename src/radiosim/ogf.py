@@ -51,8 +51,8 @@ class GossipConfig:
     still elapse (a measurement mode for studying other gossip costs).  The
     oracle's knowledge is the union of every node's own window-start
     snapshot, so it needs every node's `on_round` to run in the window's
-    first round; an engine that lets idle nodes sleep must still wake each
-    node then.
+    first round; a sleeping Old-Go-First node therefore never sleeps past
+    the next window's start.
     """
 
     mode: str
@@ -96,9 +96,10 @@ def _transmitter(n: int, offset: int) -> int:
 
 
 def tdma_gossip_schedule(n: int) -> list[int]:
-    """Transmitter per phase-1 round: n-1 sweeps of nodes 1..n."""
-    if n < 2:
-        raise OgfError(f"gossip schedule needs n >= 2, got {n}")
+    """Transmitter per phase-1 round: n-1 sweeps of nodes 1..n (none for
+    n = 1, whose one node already knows everything)."""
+    if n < 1:
+        raise OgfError(f"gossip schedule needs n >= 1, got {n}")
     return [_transmitter(n, r) for r in range(n * (n - 1))]
 
 
@@ -217,6 +218,18 @@ class OldGoFirst(RoutingAlgorithm):
     Planning consults the shared topology: every node runs the identical
     deterministic computation on identical gossiped knowledge, so no
     coordination messages are needed beyond the rumors themselves.
+
+    A node sleeps (`NodeState.wake`) through rounds in which it can only
+    listen, but acts at offset 0 of every window (the snapshot) and at
+    offset S(n) (the plan).  In phase 1 an oracle node sleeps to S(n) and a
+    TDMA node to its next transmit offset; in phase 2 a node with no
+    resident old tour sleeps to the window's end, and one that holds an old
+    tour stays awake.  Residency and the queue bound change only when a
+    tour is injected or arrives, and both wake the node, so every check
+    still fires in the round it would fire without sleeping.
+    `invariant_checks` counts every node-round with a plan: the plan
+    rounds a node slept through are added when it next plans, and
+    `run_ogf` settles every node up to its horizon.
     """
 
     def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
@@ -235,6 +248,7 @@ class OldGoFirst(RoutingAlgorithm):
         self.queue_bound = queue_bound
         self.window_log: list[WindowStats] = []
         self.invariant_checks = 0
+        self._checked: dict[int, int] = {}  # node -> plan rounds counted
         # oracle gossip: window start -> union of the nodes' snapshots
         self._oracle: dict[int, dict[int, tuple[Tour, int]]] = {}
         # nodes with identical rumor sets compute identical plans; share them
@@ -284,25 +298,45 @@ class OldGoFirst(RoutingAlgorithm):
                 plan.phase2_length, not fits))
         return plan
 
+    def _plan_rounds(self, round_no: int) -> int:
+        """How many of rounds 1..round_no have a plan (offset >= S(n))."""
+        return (round_no // self.w * (self.w - self.s_n)
+                + max(0, round_no % self.w - self.s_n))
+
+    def _count_checks(self, node: int, round_no: int) -> None:
+        """Count the node's plan rounds up to round_no, slept ones included."""
+        done = self._plan_rounds(round_no)
+        self.invariant_checks += done - self._checked.get(node, 0)
+        self._checked[node] = done
+
     # -- routing interface ---------------------------------------------------
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
         offset = (round_no - 1) % self.w
+        start = round_no - offset  # this window's first round
         if offset == 0:
             self._snapshot(state, round_no)
 
         if offset < self.s_n:
-            action = (LISTEN if self.gossip.mode == "oracle"
-                      else gossip_action(state, offset))
+            if self.gossip.mode == "oracle":
+                action = LISTEN
+                state.wake = start + self.s_n
+            else:
+                action = gossip_action(state, offset)
+                # the node's next transmit offset, or the plan round
+                nxt = offset + (state.name - 2 - offset) % state.n + 1
+                state.wake = start + min(nxt, self.s_n)
         else:
             plan = self._ensure_plan(state, (round_no - 1) // self.w + 1)
             resident = _resident_by_color(plan, state)
-            self.invariant_checks += 1
+            self._count_checks(state.name, round_no)
             # offset < w, so a truncated phase 2 ends at the window boundary
             if offset - self.s_n < plan.phase2_length:
                 action = _color_action(plan, resident, offset - self.s_n)
             else:
                 action = LISTEN
+            # with no old tour here the node only listens until the window ends
+            state.wake = 0 if resident else start + self.w
 
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:
             raise GuaranteeError(
@@ -357,13 +391,13 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
     queue_bound = math.floor(2 * (adv.rho * w + adv.b)) if strict else None
     alg = OldGoFirst(net, w, gossip, strict=strict, queue_bound=queue_bound)
 
-    def soundness(round_no: int, actions, outcome) -> None:
-        for v, a in actions.items():
-            if not isinstance(a, Transmit) or a.message.tour is None:
-                continue
+    def soundness(round_no: int, transmits, outcome) -> None:
+        for v, a in transmits.items():
             f, p = a.message.tour, a.message.progress
+            if f is None:
+                continue
             nxt = f.path[p + 1]
-            out = outcome[nxt]
+            out = outcome.get(nxt, engine.SILENCE)
             if not (isinstance(out, engine.Heard) and out.sender == v
                     and out.message.tour is f):
                 raise GuaranteeError(
@@ -371,6 +405,8 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
                     f"was not heard by its next hop {nxt} ({out!r})")
 
     metrics = engine.run(net, alg, trace, horizon, observer=soundness)
+    for v in net.nodes():
+        alg._count_checks(v, horizon)
     return OgfResult(metrics=metrics, u=u, s_n=s_n, w=w,
                      windows=alg.window_log,
                      invariant_checks=alg.invariant_checks)

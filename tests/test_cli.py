@@ -299,6 +299,15 @@ def test_gossip_check_ok(capsys):
                    "--seed", "4") == EXIT_OK
 
 
+def test_gossip_check_one_node(tmp_path, capsys):
+    # S(1) = 0, as for `radiosim ogf` with TDMA gossip on the same file
+    netfile = tmp_path / "net.txt"
+    netfile.write_text("n 1\n")
+    assert run_cli("gossip-check", "--network", str(netfile)) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "TDMA gossip on n=1: S(n) = 0 rounds, complete knowledge: yes\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sls", "--network", "BIN"],
     ["ogf", "--network", "gen:path:4", "--adv", "1/8:1:2", "--trace", "BIN"],

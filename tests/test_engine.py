@@ -5,10 +5,12 @@ import random
 import pytest
 
 from radiosim import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
-                      Heard, InjectionTrace, Message, NodeState, RoundRobin,
-                      RoutingAlgorithm, Tour, TourError, Transmit, make_clique,
-                      make_path, run, step)
-from conftest import MALFORMED_TOURS, all_connected_networks
+                      Heard, InjectionTrace, Message, Metrics, NodeState,
+                      QueuedTour, RoundRobin, RoutingAlgorithm, Tour, TourError,
+                      Transmit, hear, make_clique, make_path,
+                      make_random_connected, run, step)
+from radiosim.engine import Delivery
+from conftest import MALFORMED_TOURS, all_connected_networks, random_simple_path
 
 
 def _tx(payload=None):
@@ -77,6 +79,9 @@ def test_hearing_rule_exhaustive_small():
                 actions = {v: _tx(f"m{v}") if v in transmitters else LISTEN
                            for v in nodes}
                 outcome = step(net, actions)
+                sending = {v: actions[v].message for v in transmitters}
+                assert hear(net, sending) == {
+                    v: out for v, out in outcome.items() if out is not SILENCE}
                 for v in nodes:
                     if v in transmitters:
                         assert outcome[v] is SILENCE
@@ -225,3 +230,89 @@ def test_csv_schemas():
     deliveries = metrics.deliveries_csv().splitlines()
     assert deliveries[0] == "tour_id,injected,delivered,latency,links"
     assert deliveries[1] == "1,1,2,1,2"
+
+
+# ---------------------------------------------------------------- reference
+
+
+class RandomSleeper(RoutingAlgorithm):
+    """Seeded choices that depend only on (node, round): each round a node
+    may sleep a few rounds, and it transmits a resident tour, a control
+    message or nothing."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def on_round(self, state: NodeState, round_no: int):
+        rng = random.Random(f"{self.seed}/{state.name}/{round_no}")
+        if rng.random() < 0.4:
+            state.wake = round_no + rng.randint(1, 6)
+        roll = rng.random()
+        if roll < 0.5 and state.queue:
+            qt = state.queue[rng.choice(sorted(state.queue))]
+            return Transmit(Message(tour=qt.tour, progress=qt.progress))
+        if roll < 0.6:
+            return Transmit(Message(control=state.name))
+        return LISTEN
+
+
+def _reference_run(net, algorithm, trace, horizon) -> Metrics:
+    """engine.run's contract as a plain loop: wake by injection and by
+    hearing, call every node with wake <= r, apply the full `step`, and
+    rescan every queue for the round's metrics."""
+    states = {v: NodeState(v, net.n) for v in net.nodes()}
+    metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
+    for r in range(1, horizon + 1):
+        for f in trace.injections:
+            if f.injection_round == r:
+                states[f.source].queue[f.id] = QueuedTour(f, 0)
+                states[f.source].wake = 0
+                metrics.injected_total += 1
+        actions = {v: algorithm.on_round(s, r) if s.wake <= r else LISTEN
+                   for v, s in states.items()}
+        for v, out in step(net, actions).items():
+            if not isinstance(out, Heard):
+                continue
+            states[v].wake = 0
+            algorithm.on_hear(states[v], out.sender, out.message)
+            f, p = out.message.tour, out.message.progress
+            if f is None or f.path[p + 1] != v:
+                continue
+            del states[out.sender].queue[f.id]
+            if p + 1 == f.length:
+                latency = r - f.injection_round
+                metrics.deliveries.append(
+                    Delivery(f.id, f.injection_round, r, latency, f.length))
+            else:
+                states[v].queue[f.id] = QueuedTour(f, p + 1)
+        queued = [qt for s in states.values() for qt in s.queue.values()]
+        metrics.backlog.append(len(queued))
+        metrics.undelivered_hops.append(
+            sum(qt.tour.length - qt.progress for qt in queued))
+        metrics.max_queue_per_round.append(
+            max(len(s.queue) for s in states.values()))
+        for v, s in states.items():
+            metrics.max_queue_per_node[v] = max(metrics.max_queue_per_node[v],
+                                                len(s.queue))
+    return metrics
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_matches_reference_simulator(seed):
+    rng = random.Random(seed)
+    net = make_random_connected(rng.randint(2, 12), rng.uniform(0.1, 0.6),
+                                rng.randrange(10**9))
+    horizon, count = 80, rng.randint(5, 40)
+    tours = []
+    while len(tours) < count:
+        path = random_simple_path(net, rng, 4)
+        if len(path) >= 2:
+            tours.append(Tour(len(tours) + 1, rng.randint(1, horizon), path))
+    trace = InjectionTrace(tuple(tours), horizon)
+    got = run(net, RandomSleeper(seed), trace, horizon)
+    want = _reference_run(net, RandomSleeper(seed), trace, horizon)
+    assert got.rounds_csv() == want.rounds_csv()
+    assert got.deliveries_csv() == want.deliveries_csv()
+    assert got.max_queue_per_node == want.max_queue_per_node
+    assert got.injected_total == want.injected_total == len(tours)
+    assert got.delivered_total > 0

@@ -8,9 +8,10 @@ import pytest
 
 from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
                       NodeState, OgfError, QueuedTour, Tour, TourError,
-                      Transmit, WindowOverflowError, compute_window_bound,
-                      gen_balanced, make_clique, make_path,
-                      make_random_connected, phase2_action, plan_window,
+                      Transmit, WindowOverflowError, build_network,
+                      compute_window_bound, gen_balanced,
+                      gen_unbalanced_clique, make_clique, make_path,
+                      make_random_connected, phase2_action, plan_window, run,
                       run_ogf, tdma_gossip, tdma_gossip_schedule)
 from radiosim import ogf
 from conftest import MALFORMED_TOURS, all_connected_networks, spider_burst
@@ -61,6 +62,12 @@ def test_window_bound_satisfies_feasibility_inequality():
 
 def test_tdma_schedule_two_nodes():
     assert tdma_gossip_schedule(2) == [1, 2]
+
+
+def test_tdma_schedule_one_node_is_empty():
+    # one node knows everything already: S(1) = 0 rounds
+    assert tdma_gossip_schedule(1) == [] and GossipConfig.tdma().rounds(1) == 0
+    assert tdma_gossip(build_network(1, []), {1: {1: None}}) == {1: {1: None}}
 
 
 def test_tdma_schedule_length_and_sweeps():
@@ -344,3 +351,103 @@ def test_lenient_carryover_preserves_soundness_under_saturation():
     old_counts = [w.old_count for w in res.windows]
     assert old_counts[-1] > old_counts[1]
     assert res.metrics.final_backlog() > 0
+
+
+# ---------------------------------------------------------------- sleeping
+
+
+class NeverSleeps(ogf.OldGoFirst):
+    """Old-Go-First with sleeping undone: every node acts in every round."""
+
+    def on_round(self, state, round_no):
+        action = super().on_round(state, round_no)
+        state.wake = 0
+        return action
+
+
+def _probed(monkeypatch, cls):
+    """Make run_ogf build `cls`, counting its on_round calls in the list returned."""
+    calls = []
+
+    class Probe(cls):
+        def on_round(self, state, round_no):
+            calls.append(round_no)
+            return super().on_round(state, round_no)
+
+    monkeypatch.setattr(ogf, "OldGoFirst", Probe)
+    return calls
+
+
+def _sleeping_and_awake(monkeypatch, *args, **kwargs):
+    """run_ogf's outputs, or its GuaranteeError, for the real class and for
+    NeverSleeps, with each one's number of on_round calls."""
+    results = []
+    for cls in (ogf.OldGoFirst, NeverSleeps):
+        calls = _probed(monkeypatch, cls)
+        try:
+            res = run_ogf(*args, **kwargs)
+            out = (res.metrics.rounds_csv(), res.metrics.deliveries_csv(),
+                   res.metrics.max_queue_per_node, res.windows,
+                   res.invariant_checks)
+        except ogf.GuaranteeError as exc:
+            out = (type(exc), str(exc))
+        results.append((out, len(calls)))
+    return results
+
+
+@pytest.mark.parametrize("gossip", ["tdma", "oracle"])
+def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip):
+    adv = _adv(1, 8, 1, 2)
+    net = make_random_connected(6, 0.4, 3)
+    s_n = GossipConfig.tdma().rounds(net.n)
+    config = GossipConfig.tdma() if gossip == "tdma" else GossipConfig.oracle(s_n)
+    trace = gen_balanced(net, _derated(adv), 3, 260)
+    (sleeping, sleeping_calls), (awake, awake_calls) = _sleeping_and_awake(
+        monkeypatch, net, adv, config, trace, 260)
+    assert sleeping == awake
+    # some tour was delivered and every node-round with a plan was counted
+    assert sleeping[1].count("\n") > 1 and sleeping[4] > 0
+    assert sleeping_calls < awake_calls == net.n * 260
+
+
+@pytest.mark.parametrize("gossip", ["tdma", "oracle"])
+def test_sleeping_matches_never_sleeping_lenient(monkeypatch, gossip):
+    # saturated K6: phase 2 is truncated and old tours carry over, so
+    # nodes stay awake holding old tours across window boundaries
+    adv = _adv(1, 2, 1, 3)
+    net, trace = gen_unbalanced_clique(adv, 6, 2, 400)
+    config = GossipConfig.tdma() if gossip == "tdma" else GossipConfig.oracle(30)
+    (sleeping, sleeping_calls), (awake, awake_calls) = _sleeping_and_awake(
+        monkeypatch, net, adv, config, trace, 400, window_override=60,
+        strict=False)
+    assert sleeping == awake
+    assert any(w.truncated for w in sleeping[3])
+    assert sleeping_calls < awake_calls
+
+
+@pytest.mark.parametrize("gossip", ["tdma", "oracle"])
+def test_sleeping_matches_never_sleeping_on_overflow(monkeypatch, gossip):
+    net, adv, trace = spider_burst()
+    config = GossipConfig.tdma() if gossip == "tdma" else GossipConfig.oracle(90)
+    (sleeping, _), (awake, _) = _sleeping_and_awake(
+        monkeypatch, net, adv, config, trace, 300)
+    assert sleeping == awake
+    assert sleeping[0] is WindowOverflowError and "window 2" in sleeping[1]
+
+
+def test_sleeping_node_woken_by_injection_breaks_queue_bound():
+    # node 1 sleeps through oracle phase 1 (rounds 1..10).  The round-3
+    # injection must wake it: the bound breaks then with 2 tours, whereas a
+    # node left asleep would first see 3 tours, in plan round 11
+    net = make_path(4)
+    trace = InjectionTrace((Tour(1, 3, (1, 2)), Tour(2, 3, (1, 2)),
+                            Tour(3, 5, (1, 2))), 5)
+    raised = []
+    for cls in (ogf.OldGoFirst, NeverSleeps):
+        alg = cls(net, 20, GossipConfig.oracle(10), queue_bound=1)
+        rounds = []
+        with pytest.raises(ogf.GuaranteeError) as exc:
+            run(net, alg, trace, 20,
+                observer=lambda r, transmits, outcome: rounds.append(r))
+        raised.append((str(exc.value), rounds[-1]))
+    assert raised[0] == raised[1] == ("node 1: queue size 2 exceeds bound 1", 2)

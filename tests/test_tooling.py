@@ -1,7 +1,7 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
-are validated only where they enter the library, every defaulted
-parameter is pinned, and the benchmark's tracer finds every function it
-wraps."""
+are validated only where they enter the library, the callers of the
+hearing rule are pinned, every defaulted parameter is pinned, and the
+benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
@@ -60,12 +60,25 @@ TOUR_BOUNDARY = {
 }
 
 
+def _callers(name: str) -> set[str]:
+    """The scopes in src/radiosim that call a function named `name`."""
+    return {scope for scope, node in _scoped_nodes()
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+
+
 def test_validate_tour_called_only_at_the_boundary():
-    callers = {scope for scope, node in _scoped_nodes()
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None))
-               == "validate_tour"}
+    callers = _callers("validate_tour")
     assert callers == TOUR_BOUNDARY, sorted(callers ^ TOUR_BOUNDARY)
+
+
+def test_hearing_rule_callers_are_pinned():
+    """One hearing rule, `engine.hear`, reached by `engine.run` and through
+    `engine.step`.  The benchmark's tracer counts sls-bruteforce node-rounds
+    from `engine.step` calls, so a caller moved from `step` to `hear` would
+    read 0 there."""
+    assert _callers("hear") == {"engine.run", "engine.step"}
+    assert _callers("step") == {"coloring._round_delivers", "ogf.tdma_gossip"}
 
 
 # every parameter with a default value; a knob added or removed shows here
