@@ -19,8 +19,7 @@ from .conflict import (ConflictGraph, Tour, TourError, build_conflict_graph,
                        parse_tour_line, tours_conflict, validate_tour)
 from .engine import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
                      Heard, Message, Metrics, NodeState, QueuedTour,
-                     RoundRobin, RoutingAlgorithm, Transmit, hear, run,
-                     step)
+                     RoundRobin, RoutingAlgorithm, Transmit, run, step)
 from .network import (Network, NetworkError, build_network, format_network,
                       make_clique, make_cycle, make_path,
                       make_random_connected, parse_network)

@@ -90,38 +90,18 @@ Outcome = Heard | _Silence | _Collision
 RoundOutcome = dict[int, Outcome]
 
 
-def hear(net: Network, sending: dict[int, Message]) -> RoundOutcome:
-    """Apply the hearing rule to the transmitters of one round.
-
-    `sending` maps each transmitting node to its message; every other node
-    listens.  The result holds an outcome only for the listeners next to a
-    transmitter: Heard when exactly one neighbor transmits, COLLISION when
-    two or more do.  Every node not in it hears SILENCE.  Each transmitter
-    registers with its neighbors, so the cost is the transmitters' degree
-    sum, not the network size.
-    """
-    # listener -> its one transmitting neighbor, or None for two or more
-    senders: dict[int, int | None] = {}
-    for v in sending:
-        for u in net.neighbors(v):
-            senders[u] = None if u in senders else v
-    heard: RoundOutcome = {}
-    for u, s in senders.items():
-        if u not in sending:
-            heard[u] = COLLISION if s is None else Heard(s, sending[s])
-    return heard
-
-
 def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
-    """Apply the hearing rule to one round of actions, one per node.
+    """Apply the hearing rule to one round of actions.
 
     Every node must have exactly one action.  A node hears iff it listens
     and exactly one of its neighbors transmits; it sees a collision iff it
     listens and two or more neighbors transmit; otherwise silence (a
-    transmitter always gets silence).  The rule itself is `hear`; `step`
-    checks the action map and fills in SILENCE for every other node.
+    transmitter always gets silence).  Each transmitter registers with its
+    neighbors, and a listener's outcome comes from the transmitters
+    registered with it, so no listener scans its own neighbors.
     """
-    sending: dict[int, Message] = {}
+    # listener -> its one transmitting neighbor, or None for two or more
+    senders: dict[int, int | None] = {}
     for v in net.nodes():
         if v not in actions:
             raise EngineError(f"node {v} has no action")
@@ -130,13 +110,17 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
             continue
         if not isinstance(a, Transmit):
             raise EngineError(f"node {v}: invalid action {a!r}")
-        sending[v] = a.message
+        for u in net.neighbors(v):
+            senders[u] = None if u in senders else v
     if len(actions) != net.n:
         extra = sorted(set(actions) - set(net.nodes()))
         raise EngineError(f"actions for unknown nodes {extra}")
 
     outcome: RoundOutcome = dict.fromkeys(net.nodes(), SILENCE)
-    outcome.update(hear(net, sending))
+    for v, sender in senders.items():
+        if actions[v] is LISTEN:
+            outcome[v] = (COLLISION if sender is None
+                          else Heard(sender, actions[sender].message))
     return outcome
 
 
@@ -252,7 +236,7 @@ class Metrics:
         return buf.getvalue()
 
 
-Observer = Callable[[int, dict[int, Transmit], RoundOutcome], None]
+Observer = Callable[[int, dict[int, Message], RoundOutcome], None]
 
 
 def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
@@ -264,20 +248,19 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         sources;
     (2) call `on_round` for each awake node (`r >= state.wake`) in node
         order; a sleeping node listens;
-    (3) apply the hearing rule to the transmitters (`hear`);
-    (4) for each listener that heard a message: wake it, pass the message
-        to `on_hear`, move a heard tour one hop and record its delivery
-        at its destination;
+    (3) apply the hearing rule to the round's actions (`step`);
+    (4) for each node that heard a message, in node order: wake it, pass
+        the message to `on_hear`, move a heard tour one hop and record its
+        delivery at its destination;
     (5) append the round's backlog, undelivered hops and largest queue,
         raise the per-node peaks of the nodes whose queue gained a tour,
         and check conservation.
-    Besides one wake-round comparison per node, a round's Python work is
-    O(awake nodes + the transmitters' neighborhoods); the queue sizes of
-    step (5) are read for every node at C level.  Fully deterministic.
+    Sleeping nodes cost no callback, so a round's Python-level work is the
+    awake nodes' callbacks and the heard messages plus one pass over the
+    nodes in (2), `step` and (4).  Fully deterministic.
 
-    `observer(round, transmits, outcome)` is called after step (3) with the
-    transmitting nodes' actions and the non-silent outcomes (Heard or
-    COLLISION); every node missing from `outcome` heard silence.  Tests and
+    `observer(round, sending, outcome)` is called after step (3) with the
+    message of each transmitting node and every node's outcome; tests and
     harnesses use it to check hearing guarantees without touching queues.
     """
     if horizon < 0:
@@ -288,6 +271,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     by_round = trace.by_round()
     states = {v: NodeState(v, net.n) for v in net.nodes()}
     queues = [state.queue for state in states.values()]
+    all_listen = dict.fromkeys(states, LISTEN)
 
     metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
     peaks = metrics.max_queue_per_node
@@ -303,7 +287,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             metrics.injected_total += 1
             hops += tour.length
 
-        transmits: dict[int, Transmit] = {}
+        actions: dict[int, Action] = all_listen.copy()
         sending: dict[int, Message] = {}
         for v, state in states.items():
             if r < state.wake:
@@ -311,24 +295,23 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             a = algorithm.on_round(state, r)
             if a is LISTEN:
                 continue
-            if not isinstance(a, Transmit):
-                raise EngineError(f"node {v}: invalid action {a!r}")
-            msg = a.message
-            if msg.tour is not None:
-                qt = state.queue.get(msg.tour.id)
-                if qt is None or qt.progress != msg.progress:
-                    raise EngineError(
-                        f"node {v} round {r}: transmitted tour "
-                        f"{msg.tour.id} is not resident here")
-            transmits[v] = a
-            sending[v] = msg
+            if isinstance(a, Transmit):
+                msg = sending[v] = a.message
+                if msg.tour is not None:
+                    qt = state.queue.get(msg.tour.id)
+                    if qt is None or qt.progress != msg.progress:
+                        raise EngineError(
+                            f"node {v} round {r}: transmitted tour "
+                            f"{msg.tour.id} is not resident here")
+            actions[v] = a
 
-        outcome = hear(net, sending)
+        outcome = step(net, actions)
         if observer is not None:
-            observer(r, transmits, outcome)
+            observer(r, sending, outcome)
 
-        for v, out in outcome.items():
-            if out is COLLISION:
+        # in a round without transmitters every node hears silence
+        for v, out in outcome.items() if sending else ():
+            if out is SILENCE or out is COLLISION:
                 continue
             state = states[v]
             state.wake = 0

@@ -227,9 +227,6 @@ class OldGoFirst(RoutingAlgorithm):
     tour stays awake.  Residency and the queue bound change only when a
     tour is injected or arrives, and both wake the node, so every check
     still fires in the round it would fire without sleeping.
-    `invariant_checks` counts every node-round with a plan: the plan
-    rounds a node slept through are added when it next plans, and
-    `run_ogf` settles every node up to its horizon.
     """
 
     def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
@@ -247,8 +244,6 @@ class OldGoFirst(RoutingAlgorithm):
         self.strict = strict
         self.queue_bound = queue_bound
         self.window_log: list[WindowStats] = []
-        self.invariant_checks = 0
-        self._checked: dict[int, int] = {}  # node -> plan rounds counted
         # oracle gossip: window start -> union of the nodes' snapshots
         self._oracle: dict[int, dict[int, tuple[Tour, int]]] = {}
         # nodes with identical rumor sets compute identical plans; share them
@@ -298,17 +293,6 @@ class OldGoFirst(RoutingAlgorithm):
                 plan.phase2_length, not fits))
         return plan
 
-    def _plan_rounds(self, round_no: int) -> int:
-        """How many of rounds 1..round_no have a plan (offset >= S(n))."""
-        return (round_no // self.w * (self.w - self.s_n)
-                + max(0, round_no % self.w - self.s_n))
-
-    def _count_checks(self, node: int, round_no: int) -> None:
-        """Count the node's plan rounds up to round_no, slept ones included."""
-        done = self._plan_rounds(round_no)
-        self.invariant_checks += done - self._checked.get(node, 0)
-        self._checked[node] = done
-
     # -- routing interface ---------------------------------------------------
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
@@ -329,7 +313,6 @@ class OldGoFirst(RoutingAlgorithm):
         else:
             plan = self._ensure_plan(state, (round_no - 1) // self.w + 1)
             resident = _resident_by_color(plan, state)
-            self._count_checks(state.name, round_no)
             # offset < w, so a truncated phase 2 ends at the window boundary
             if offset - self.s_n < plan.phase2_length:
                 action = _color_action(plan, resident, offset - self.s_n)
@@ -352,7 +335,13 @@ class OldGoFirst(RoutingAlgorithm):
 
 @dataclass
 class OgfResult:
-    """run_ogf output: engine metrics plus per-window planning stats."""
+    """run_ogf output: engine metrics plus per-window planning stats.
+
+    `invariant_checks` is derived, not counted: n times the rounds whose
+    window offset is at least S(n).  An awake node scans its per-color
+    residency in each of them, and a sleeping node's residency cannot
+    change until an injection or an arrival wakes it.
+    """
 
     metrics: Metrics
     u: int | None
@@ -391,13 +380,13 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
     queue_bound = math.floor(2 * (adv.rho * w + adv.b)) if strict else None
     alg = OldGoFirst(net, w, gossip, strict=strict, queue_bound=queue_bound)
 
-    def soundness(round_no: int, transmits, outcome) -> None:
-        for v, a in transmits.items():
-            f, p = a.message.tour, a.message.progress
+    def soundness(round_no: int, sending, outcome) -> None:
+        for v, msg in sending.items():
+            f, p = msg.tour, msg.progress
             if f is None:
                 continue
             nxt = f.path[p + 1]
-            out = outcome.get(nxt, engine.SILENCE)
+            out = outcome[nxt]
             if not (isinstance(out, engine.Heard) and out.sender == v
                     and out.message.tour is f):
                 raise GuaranteeError(
@@ -405,8 +394,8 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
                     f"was not heard by its next hop {nxt} ({out!r})")
 
     metrics = engine.run(net, alg, trace, horizon, observer=soundness)
-    for v in net.nodes():
-        alg._count_checks(v, horizon)
+    # rounds 1..horizon whose window offset is >= S(n), per node
+    plan_rounds = horizon // w * (w - s_n) + max(0, horizon % w - s_n)
     return OgfResult(metrics=metrics, u=u, s_n=s_n, w=w,
                      windows=alg.window_log,
-                     invariant_checks=alg.invariant_checks)
+                     invariant_checks=net.n * plan_rounds)

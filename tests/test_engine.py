@@ -7,8 +7,8 @@ import pytest
 from radiosim import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
                       Heard, InjectionTrace, Message, Metrics, NodeState,
                       QueuedTour, RoundRobin, RoutingAlgorithm, Tour, TourError,
-                      Transmit, hear, make_clique, make_path,
-                      make_random_connected, run, step)
+                      Transmit, make_clique, make_path, make_random_connected,
+                      run, step)
 from radiosim.engine import Delivery
 from conftest import MALFORMED_TOURS, all_connected_networks, random_simple_path
 
@@ -79,9 +79,6 @@ def test_hearing_rule_exhaustive_small():
                 actions = {v: _tx(f"m{v}") if v in transmitters else LISTEN
                            for v in nodes}
                 outcome = step(net, actions)
-                sending = {v: actions[v].message for v in transmitters}
-                assert hear(net, sending) == {
-                    v: out for v, out in outcome.items() if out is not SILENCE}
                 for v in nodes:
                     if v in transmitters:
                         assert outcome[v] is SILENCE
@@ -147,9 +144,8 @@ def test_round_robin_single_transmitter_never_collides():
                   for i in range(1, 8))
     seen = {"collision": False}
 
-    def observer(r, actions, outcome):
-        tx = [v for v, a in actions.items() if isinstance(a, Transmit)]
-        assert len(tx) <= 1
+    def observer(r, sending, outcome):
+        assert len(sending) <= 1
         if any(out is COLLISION for out in outcome.values()):
             seen["collision"] = True
 
@@ -312,6 +308,7 @@ def test_run_matches_reference_simulator(seed):
     got = run(net, RandomSleeper(seed), trace, horizon)
     want = _reference_run(net, RandomSleeper(seed), trace, horizon)
     assert got.rounds_csv() == want.rounds_csv()
+    assert got.deliveries == want.deliveries  # in order: node order per round
     assert got.deliveries_csv() == want.deliveries_csv()
     assert got.max_queue_per_node == want.max_queue_per_node
     assert got.injected_total == want.injected_total == len(tours)

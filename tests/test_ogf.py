@@ -387,8 +387,7 @@ def _sleeping_and_awake(monkeypatch, *args, **kwargs):
         try:
             res = run_ogf(*args, **kwargs)
             out = (res.metrics.rounds_csv(), res.metrics.deliveries_csv(),
-                   res.metrics.max_queue_per_node, res.windows,
-                   res.invariant_checks)
+                   res.metrics.max_queue_per_node, res.windows)
         except ogf.GuaranteeError as exc:
             out = (type(exc), str(exc))
         results.append((out, len(calls)))
@@ -405,8 +404,7 @@ def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip):
     (sleeping, sleeping_calls), (awake, awake_calls) = _sleeping_and_awake(
         monkeypatch, net, adv, config, trace, 260)
     assert sleeping == awake
-    # some tour was delivered and every node-round with a plan was counted
-    assert sleeping[1].count("\n") > 1 and sleeping[4] > 0
+    assert sleeping[1].count("\n") > 1  # some tour was delivered
     assert sleeping_calls < awake_calls == net.n * 260
 
 
@@ -448,6 +446,6 @@ def test_sleeping_node_woken_by_injection_breaks_queue_bound():
         rounds = []
         with pytest.raises(ogf.GuaranteeError) as exc:
             run(net, alg, trace, 20,
-                observer=lambda r, transmits, outcome: rounds.append(r))
+                observer=lambda r, sending, outcome: rounds.append(r))
         raised.append((str(exc.value), rounds[-1]))
     assert raised[0] == raised[1] == ("node 1: queue size 2 exceeds bound 1", 2)

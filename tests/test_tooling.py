@@ -73,12 +73,13 @@ def test_validate_tour_called_only_at_the_boundary():
 
 
 def test_hearing_rule_callers_are_pinned():
-    """One hearing rule, `engine.hear`, reached by `engine.run` and through
-    `engine.step`.  The benchmark's tracer counts sls-bruteforce node-rounds
-    from `engine.step` calls, so a caller moved from `step` to `hear` would
-    read 0 there."""
-    assert _callers("hear") == {"engine.run", "engine.step"}
-    assert _callers("step") == {"coloring._round_delivers", "ogf.tdma_gossip"}
+    """One hearing rule, `engine.step`, and every simulated round goes
+    through it.  The benchmark's tracer counts node-rounds and the radio
+    counters (transmissions, heard, collisions) from `engine.step` calls,
+    sls-bruteforce's through `coloring._round_delivers`, so a round resolved
+    any other way would read 0 there."""
+    assert _callers("step") == {"engine.run", "coloring._round_delivers",
+                                "ogf.tdma_gossip"}
 
 
 # every parameter with a default value; a knob added or removed shows here
