@@ -153,27 +153,39 @@ def schedule_from_coloring(coloring: Coloring,
     return Schedule(dict(coloring.assignment), coloring.num_colors)
 
 
-def _round_delivers(net: Network, group: Iterable[Tour]) -> bool:
+def _round_delivers(net: Network, listen: dict[int, engine.Action],
+                    group: Sequence[engine.Transmit]) -> bool:
     """Simulate one round in which every tour of the group transmits from its
     tail while everyone else listens; True iff every head hears its tail.
 
-    Two tours sharing a tail cannot both transmit, so such a group fails.
+    The caller prebuilds, once per instance, `listen`, the all-LISTEN action
+    map of `net`, and the group's actions, each tour's
+    `Transmit(Message(tour=f, progress=0))`; a round copies the map and sets
+    the tails.  Two tours sharing a tail cannot both transmit, so such a
+    group fails without a round.
     """
-    group = list(group)
-    actions: dict[int, engine.Action] = {v: engine.LISTEN for v in net.nodes()}
-    for f in group:
-        tail = f.path[0]
-        if isinstance(actions[tail], engine.Transmit):
+    actions = listen.copy()
+    for a in group:
+        tail = a.message.tour.path[0]
+        if actions[tail] is not engine.LISTEN:
             return False
-        actions[tail] = engine.Transmit(engine.Message(tour=f, progress=0))
+        actions[tail] = a
     outcome = engine.step(net, actions)
-    for f in group:
+    for a in group:
+        f = a.message.tour
         out = outcome[f.path[1]]
         if not (isinstance(out, engine.Heard)
                 and out.sender == f.path[0]
                 and out.message.tour is f):
             return False
     return True
+
+
+def _round_inputs(net: Network, tours: list[Tour]) -> tuple[dict, list[engine.Transmit]]:
+    """What `_round_delivers` takes: the all-LISTEN action map of `net`, and
+    each tour's transmission from its tail, in the order of `tours`."""
+    return (dict.fromkeys(net.nodes(), engine.LISTEN),
+            [engine.Transmit(engine.Message(tour=f, progress=0)) for f in tours])
 
 
 def one_link_tours(net: Network, tours: Iterable[Tour]) -> list[Tour]:
@@ -194,10 +206,11 @@ def verify_schedule(net: Network, tours: Iterable[Tour], sched: Schedule) -> boo
     for f in tour_list:
         if f.id not in sched.assignment:
             raise ColoringError(f"tour {f.id} is not scheduled")
-    rounds: dict[int, list[Tour]] = {}
-    for f in tour_list:
-        rounds.setdefault(sched.assignment[f.id], []).append(f)
-    return all(_round_delivers(net, group) for group in rounds.values())
+    listen, sends = _round_inputs(net, tour_list)
+    rounds: dict[int, list[engine.Transmit]] = {}
+    for f, a in zip(tour_list, sends):
+        rounds.setdefault(sched.assignment[f.id], []).append(a)
+    return all(_round_delivers(net, listen, group) for group in rounds.values())
 
 
 def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
@@ -216,16 +229,19 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     if not tour_list:
         return 0
 
+    listen, sends = _round_inputs(net, tour_list)
+
     def feasible(t_rounds: int) -> bool:
-        groups: list[list[Tour]] = [[] for _ in range(t_rounds)]
+        groups: list[list[engine.Transmit]] = [[] for _ in range(t_rounds)]
 
         def place(i: int, used: int) -> bool:
-            if i == len(tour_list):
+            if i == len(sends):
                 return True
-            f = tour_list[i]
+            a = sends[i]
             for g in range(min(used + 1, t_rounds)):
-                groups[g].append(f)
-                if _round_delivers(net, groups[g]) and place(i + 1, max(used, g + 1)):
+                groups[g].append(a)
+                if (_round_delivers(net, listen, groups[g])
+                        and place(i + 1, max(used, g + 1))):
                     return True
                 groups[g].pop()
             return False

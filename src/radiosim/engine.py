@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .conflict import Tour, validate_tour
 from .network import Network
@@ -90,6 +90,18 @@ Outcome = Heard | _Silence | _Collision
 RoundOutcome = dict[int, Outcome]
 
 
+def _reject(net: Network, actions: dict[int, Action]) -> NoReturn:
+    """Raise the error of a malformed action map, in node order."""
+    for v in net.nodes():
+        if v not in actions:
+            raise EngineError(f"node {v} has no action")
+        a = actions[v]
+        if a is not LISTEN and not isinstance(a, Transmit):
+            raise EngineError(f"node {v}: invalid action {a!r}")
+    extra = sorted(set(actions) - set(net.nodes()))
+    raise EngineError(f"actions for unknown nodes {extra}")
+
+
 def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     """Apply the hearing rule to one round of actions.
 
@@ -99,24 +111,28 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     transmitter always gets silence).  Each transmitter registers with its
     neighbors, and a listener's outcome comes from the transmitters
     registered with it, so no listener scans its own neighbors.
+
+    Cost: one C-level comparison of the action map's keys with the node
+    set, one C-level fill of the all-silence outcome, and Python work only
+    for the transmitters and their neighborhoods; listening nodes cost no
+    Python-level step.  A malformed map is reported as a scan in node
+    order meets it: the first node with no action or an invalid one, else
+    the unknown nodes.
     """
+    adj = net._adj
+    if actions.keys() != adj.keys():
+        _reject(net, actions)
     # listener -> its one transmitting neighbor, or None for two or more
     senders: dict[int, int | None] = {}
-    for v in net.nodes():
-        if v not in actions:
-            raise EngineError(f"node {v} has no action")
-        a = actions[v]
+    for v, a in actions.items():
         if a is LISTEN:
             continue
         if not isinstance(a, Transmit):
-            raise EngineError(f"node {v}: invalid action {a!r}")
-        for u in net.neighbors(v):
+            _reject(net, actions)
+        for u in adj[v]:
             senders[u] = None if u in senders else v
-    if len(actions) != net.n:
-        extra = sorted(set(actions) - set(net.nodes()))
-        raise EngineError(f"actions for unknown nodes {extra}")
 
-    outcome: RoundOutcome = dict.fromkeys(net.nodes(), SILENCE)
+    outcome: RoundOutcome = dict.fromkeys(adj, SILENCE)
     for v, sender in senders.items():
         if actions[v] is LISTEN:
             outcome[v] = (COLLISION if sender is None
@@ -256,8 +272,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         raise the per-node peaks of the nodes whose queue gained a tour,
         and check conservation.
     Sleeping nodes cost no callback, so a round's Python-level work is the
-    awake nodes' callbacks and the heard messages plus one pass over the
-    nodes in (2), `step` and (4).  Fully deterministic.
+    awake nodes' callbacks, the transmitters' neighborhoods in `step` and
+    the heard messages, plus one pass over the nodes in (2) and, in rounds
+    with a transmitter, in (4).  Fully deterministic.
 
     `observer(round, sending, outcome)` is called after step (3) with the
     message of each transmitting node and every node's outcome; tests and

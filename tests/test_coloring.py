@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from radiosim import (Coloring, ColoringError, ConflictGraph, Tour, TourError,
-                      build_conflict_graph, exact_chromatic, greedy_color,
-                      is_proper, make_clique, make_path, max_degree,
-                      optimal_sls_length, schedule_from_coloring,
-                      verify_schedule)
-from conftest import MALFORMED_TOURS, random_network, random_tours
+from radiosim import (Coloring, ColoringError, ConflictGraph, Schedule, Tour,
+                      TourError, build_conflict_graph, coloring,
+                      exact_chromatic, greedy_color, is_proper, make_clique,
+                      make_path, max_degree, optimal_sls_length,
+                      schedule_from_coloring, verify_schedule)
+from conftest import (MALFORMED_TOURS, all_connected_networks, random_network,
+                      random_tours)
 
 
 def _graph(vertices, edges):
@@ -219,6 +220,25 @@ def test_sls_entries_reject_malformed_tour(tour, match):
         optimal_sls_length(net, [tour])
 
 
+def test_one_round_schedule_matches_hearing_rule_exhaustive_small():
+    """On every connected network with up to 4 nodes, a round of up to 3
+    distinct one-link tours delivers iff the tails are distinct, no head
+    transmits, and each head's only transmitting neighbor is its tail."""
+    for n in (2, 3, 4):
+        for net in all_connected_networks(n):
+            links = sorted(l for u, v in net.edges for l in ((u, v), (v, u)))
+            for k in (1, 2, 3):
+                for group in itertools.combinations(links, k):
+                    tours = [Tour(i, 1, link) for i, link in enumerate(group, 1)]
+                    sched = Schedule({f.id: 1 for f in tours}, 1)
+                    tails = [t for t, _ in group]
+                    expected = (len(set(tails)) == k
+                                and all(h not in tails for _, h in group)
+                                and all(net.neighbors(h) & set(tails) == {t}
+                                        for t, h in group))
+                    assert verify_schedule(net, tours, sched) == expected, group
+
+
 # ---------------------------------------------------------------- brute force
 
 
@@ -265,3 +285,35 @@ def test_ring4_one_link_instance_matches(ring4, ring4_tours):
     tours = list(ring4_tours.values())
     cg = build_conflict_graph(ring4, tours)
     assert optimal_sls_length(ring4, tours) == exact_chromatic(cg) == 3
+
+
+# engine.step calls per instance of the seeded set below; the benchmark's
+# SLS node-rounds are n times these calls
+SLS_STEP_CALLS = [25, 53, 26, 7, 101, 96, 7, 14, 72, 16,
+                  72, 23, 145, 14, 3, 37, 7, 52, 2, 65]
+
+
+def test_sls_search_hearing_rule_calls_are_pinned(monkeypatch):
+    """`optimal_sls_length` plus `verify_schedule` resolve every simulated
+    round through `engine.step`, and a cheaper search must not make fewer
+    or more rounds: the count is pinned per instance."""
+    calls = [0]
+    step = coloring.engine.step
+
+    def counting_step(net, actions):
+        calls[0] += 1
+        return step(net, actions)
+
+    monkeypatch.setattr(coloring.engine, "step", counting_step)
+    rng = random.Random(29)
+    counts = []
+    for _ in SLS_STEP_CALLS:
+        net = random_network(rng, max_n=8)
+        tours = _one_link_tours(net, rng, rng.randint(1, 8))
+        calls[0] = 0
+        t_opt = optimal_sls_length(net, tours)
+        cg = build_conflict_graph(net, tours)
+        assert t_opt == exact_chromatic(cg)
+        assert verify_schedule(net, tours, schedule_from_coloring(greedy_color(cg), cg))
+        counts.append(calls[0])
+    assert counts == SLS_STEP_CALLS

@@ -68,6 +68,23 @@ def test_invalid_action_rejected():
         step(net, {1: "transmit", 2: LISTEN})
 
 
+@pytest.mark.parametrize("actions, message", [
+    ({1: "x"}, "node 1: invalid action 'x'"),
+    ({1: "x", 2: LISTEN, 7: LISTEN}, "node 1: invalid action 'x'"),
+    ({2: LISTEN, 7: LISTEN}, "node 1 has no action"),
+    ({2: "y", 1: "x"}, "node 1: invalid action 'x'"),
+    ({2: LISTEN, 1: LISTEN, 7: LISTEN, 5: LISTEN},
+     r"actions for unknown nodes \[5, 7\]"),
+], ids=["invalid-before-missing", "invalid-before-unknown",
+        "missing-before-unknown", "invalid-in-node-order", "unknown-sorted"])
+def test_malformed_actions_report_first_error_in_node_order(actions, message):
+    """A malformed action map is reported as a scan in node order meets it,
+    whatever the map's own order: the first node with no action or an
+    invalid one, else the unknown nodes."""
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        step(make_path(2), actions)
+
+
 def test_hearing_rule_exhaustive_small():
     """step matches a direct statement of the hearing rule on every labeled
     connected network with up to 4 nodes and every transmitter subset."""
