@@ -170,7 +170,7 @@ class _LoadEnvelope:
         """How many more tours node v admits in round r."""
         return (self.cap - self._advanced(v, r, 0)[0]) // self.q
 
-    def add(self, v: int, r: int, c: int = 1) -> bool:
+    def add(self, v: int, r: int, c: int) -> bool:
         """Add c tours in round r at node v; False if v is then over budget."""
         self.nodes[v] = state = self._advanced(v, r, c)
         return state[0] <= self.cap
@@ -202,9 +202,8 @@ def verify_admissible(net: Network, trace: InjectionTrace,
 
 
 def verify_admissible_all_intervals(net: Network, trace: InjectionTrace,
-                                    adv: AdversaryType,
-                                    horizon: int | None = None) -> Violation | None:
-    """Brute-force reference: checks every interval [a, b] within the horizon.
+                                    adv: AdversaryType) -> Violation | None:
+    """Brute-force reference: checks every interval [a, b] up to trace.horizon.
 
     Slow; kept as the oracle the fast verifier is tested against.
     """
@@ -213,10 +212,9 @@ def verify_admissible_all_intervals(net: Network, trace: InjectionTrace,
         if f.length > adv.L:
             return Violation("stretch", tour_id=f.id)
     ledger = LoadLedger(net, trace)
-    end_round = horizon if horizon is not None else trace.horizon
     for v in net.nodes():
-        for a in range(1, end_round + 1):
-            for b_end in range(a, end_round + 1):
+        for a in range(1, trace.horizon + 1):
+            for b_end in range(a, trace.horizon + 1):
                 load = node_load(ledger, v, (a, b_end))
                 budget = adv.rho * (b_end - a + 1) + adv.b
                 if load > budget:
@@ -266,7 +264,7 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
             hit = conflict_node_set(net, candidate)
             if all(envelope.headroom(v, r) > 0 for v in hit):
                 for v in hit:
-                    envelope.add(v, r)
+                    envelope.add(v, r, 1)
                 tours.append(candidate)
                 next_id += 1
     return InjectionTrace(tuple(tours), horizon)

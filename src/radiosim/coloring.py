@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import engine
-from .conflict import ConflictGraph, Tour, bit_positions, validate_tour
+from .conflict import ConflictGraph, Tour, validate_tour
 from .network import Network
 
 EXACT_CHROMATIC_CAP = 16  # vertices
@@ -41,30 +41,19 @@ class Schedule:
     length: int
 
 
-def greedy_color(cg: ConflictGraph, order: Sequence[int] | None = None) -> Coloring:
+def greedy_color(cg: ConflictGraph) -> Coloring:
     """First-fit coloring: each vertex gets the smallest color unused by its
     already-colored neighbors.  Uses at most max_degree + 1 colors.
 
-    Default order is ascending tour id (deterministic).  Color c is built
+    The order is ascending tour id (deterministic).  Color c is built
     as one sweep: the greedy independent set, taken in order, of the
     vertices still uncolored.  This is first-fit's assignment, by induction
     on c: an uncolored vertex v joins class c iff no earlier vertex of the
     class neighbors v, that is, iff no earlier neighbor of v has color c.
     """
     ids, rows = cg._ids, cg._bits
-    if order is None:
-        order = ids
-    elif sorted(order) != list(ids):
-        raise ColoringError("order is not a permutation of the vertices")
-    else:
-        # rows over ranks in `order` instead of positions in ids
-        rank = [0] * len(ids)
-        for r, v in enumerate(order):
-            rank[cg._pos[v]] = r
-        rows = [sum(1 << rank[j] for j in bit_positions(rows[cg._pos[v]]))
-                for v in order]
-    colors = [0] * len(order)
-    uncolored = (1 << len(order)) - 1
+    colors = [0] * len(ids)
+    uncolored = (1 << len(ids)) - 1
     c = 0
     while uncolored:
         c += 1
@@ -75,7 +64,7 @@ def greedy_color(cg: ConflictGraph, order: Sequence[int] | None = None) -> Color
             colors[r] = c
             uncolored ^= low
             candidates &= ~(rows[r] | low)
-    return Coloring(dict(zip(order, colors)), c)
+    return Coloring(dict(zip(ids, colors)), c)
 
 
 def is_proper(cg: ConflictGraph, coloring: Coloring) -> bool:

@@ -217,7 +217,10 @@ class OldGoFirst(RoutingAlgorithm):
 
     Planning consults the shared topology: every node runs the identical
     deterministic computation on identical gossiped knowledge, so no
-    coordination messages are needed beyond the rumors themselves.
+    coordination messages are needed beyond the rumors themselves.  So a
+    window is planned once: a node whose rumor dict equals the recorded one
+    reuses its plan; any other node plans and becomes the record.  `window_log`
+    gets one entry per plan made, one per window under complete gossip.
 
     A node sleeps (`NodeState.wake`) through rounds in which it can only
     listen, but acts at offset 0 of every window (the snapshot) and at
@@ -244,14 +247,13 @@ class OldGoFirst(RoutingAlgorithm):
         self.strict = strict
         self.queue_bound = queue_bound
         self.window_log: list[WindowStats] = []
-        # oracle gossip: window start -> union of the nodes' snapshots
-        self._oracle: dict[int, dict[int, tuple[Tour, int]]] = {}
-        # nodes with identical rumor sets compute identical plans; share them
-        self._plan_cache: dict[tuple[int, frozenset], WindowPlan] = {}
+        # (window index, rumor dict, the plan made from it); under oracle
+        # gossip `_snapshot` fills the window's shared union with plan None
+        self._window: tuple[int, dict, WindowPlan | None] = (0, {}, None)
 
     # -- window bookkeeping ------------------------------------------------
 
-    def _snapshot(self, state: NodeState, window_start: int) -> None:
+    def _snapshot(self, state: NodeState, window_index: int, window_start: int) -> None:
         """Freeze this node's old tours (anything injected before the window)
         as its initial rumor set; drop last window's knowledge.  Under oracle
         gossip the rumor set is the window's shared union, which every node
@@ -260,9 +262,10 @@ class OldGoFirst(RoutingAlgorithm):
                   for tid, qt in state.queue.items()
                   if qt.tour.injection_round < window_start}
         if self.gossip.mode == "oracle":
-            if window_start not in self._oracle:
-                self._oracle = {window_start: {}}
-            union = self._oracle[window_start]
+            index, union, _ = self._window
+            if index != window_index:
+                union = {}
+                self._window = (window_index, union, None)
             union.update(rumors)
             rumors = union
         state.memory["rumors"] = rumors
@@ -273,24 +276,23 @@ class OldGoFirst(RoutingAlgorithm):
         if plan is not None:
             return plan
         rumors = state.memory.get("rumors", {})
-        key = (window_index,
-               frozenset((tid, progress) for tid, (_, progress) in rumors.items()))
-        plan = self._plan_cache.get(key)
-        if plan is None:
+        index, planned_from, plan = self._window
+        if plan is None or index != window_index or rumors != planned_from:
             remaining = [Tour(tid, tour.injection_round, tour.path[progress:])
                          for tid, (tour, progress) in sorted(rumors.items())]
             plan = plan_window(self.net, remaining)
-            self._plan_cache = {key: plan}
-        fits = self.s_n + plan.phase2_length <= self.w
-        if not fits and self.strict:
-            raise WindowOverflowError(
-                f"window {window_index}: S(n) + L'*(Delta+1) = "
-                f"{self.s_n} + {plan.l_prime}*{plan.delta + 1} > w = {self.w}")
-        state.memory["plan"] = plan
-        if state.name == 1:
+            fits = self.s_n + plan.phase2_length <= self.w
+            if not fits and self.strict:
+                raise WindowOverflowError(
+                    f"window {window_index}: S(n) + L'*(Delta+1) = "
+                    f"{self.s_n} + {plan.l_prime}*{plan.delta + 1} > w = {self.w}")
             self.window_log.append(WindowStats(
                 window_index, len(rumors), plan.l_prime, plan.delta,
                 plan.phase2_length, not fits))
+            # no one mutates the recorded dict after the plan round: phase-2
+            # messages carry no control, and the next snapshot assigns a new dict
+            self._window = (window_index, rumors, plan)
+        state.memory["plan"] = plan
         return plan
 
     # -- routing interface ---------------------------------------------------
@@ -298,8 +300,9 @@ class OldGoFirst(RoutingAlgorithm):
     def on_round(self, state: NodeState, round_no: int) -> Action:
         offset = (round_no - 1) % self.w
         start = round_no - offset  # this window's first round
+        index = (round_no - 1) // self.w + 1
         if offset == 0:
-            self._snapshot(state, round_no)
+            self._snapshot(state, index, round_no)
 
         if offset < self.s_n:
             if self.gossip.mode == "oracle":
@@ -311,7 +314,7 @@ class OldGoFirst(RoutingAlgorithm):
                 nxt = offset + (state.name - 2 - offset) % state.n + 1
                 state.wake = start + min(nxt, self.s_n)
         else:
-            plan = self._ensure_plan(state, (round_no - 1) // self.w + 1)
+            plan = self._ensure_plan(state, index)
             resident = _resident_by_color(plan, state)
             # offset < w, so a truncated phase 2 ends at the window boundary
             if offset - self.s_n < plan.phase2_length:

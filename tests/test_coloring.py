@@ -53,15 +53,9 @@ def test_greedy_triangle_needs_three():
 
 def test_greedy_ring4_hand_run(ring4, ring4_tours):
     cg = build_conflict_graph(ring4, ring4_tours.values())
-    col = greedy_color(cg, order=[1, 2, 3, 4])
+    col = greedy_color(cg)
     assert col.assignment == {1: 1, 2: 2, 3: 2, 4: 3}
     assert col.num_colors == 3
-
-
-def test_greedy_rejects_non_permutation():
-    cg = _graph([1, 2, 3], [])
-    with pytest.raises(ColoringError, match="permutation"):
-        greedy_color(cg, order=[1, 2])
 
 
 def test_greedy_proper_and_within_degree_bound():
@@ -99,13 +93,11 @@ def test_greedy_matches_first_fit_oracle():
             adj[a].add(b)
             adj[b].add(a)
         cg = _graph(vertices, edges)
-        orders = [sorted(vertices)] + [rng.sample(vertices, k) for _ in range(2)]
-        for i, order in enumerate(orders):
-            col = greedy_color(cg) if i == 0 else greedy_color(cg, order)
-            assignment, num_colors = _first_fit_oracle(adj, order)
-            assert col.assignment == assignment
-            assert col.num_colors == num_colors
-            assert is_proper(cg, col)
+        col = greedy_color(cg)
+        assignment, num_colors = _first_fit_oracle(adj, sorted(vertices))
+        assert col.assignment == assignment
+        assert col.num_colors == num_colors
+        assert is_proper(cg, col)
     assert big >= 20
 
 
@@ -145,11 +137,7 @@ def test_exact_never_exceeds_greedy():
     rng = random.Random(7)
     for _ in range(60):
         cg = _random_graph(rng)
-        exact = exact_chromatic(cg)
-        for _ in range(3):
-            order = sorted(cg.vertices)
-            rng.shuffle(order)
-            assert exact <= greedy_color(cg, order).num_colors
+        assert exact_chromatic(cg) <= greedy_color(cg).num_colors
 
 
 # ---------------------------------------------------------------- schedules
@@ -157,7 +145,7 @@ def test_exact_never_exceeds_greedy():
 
 def test_schedule_from_coloring_direct_mapping(ring4, ring4_tours):
     cg = build_conflict_graph(ring4, ring4_tours.values())
-    sched = schedule_from_coloring(greedy_color(cg, order=[1, 2, 3, 4]), cg)
+    sched = schedule_from_coloring(greedy_color(cg), cg)
     assert sched.assignment == {1: 1, 2: 2, 3: 2, 4: 3}
     assert sched.length == 3
 

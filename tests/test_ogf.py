@@ -76,11 +76,6 @@ def test_tdma_schedule_length_and_sweeps():
     assert sched[:5] == [1, 2, 3, 4, 5] and sched[5:10] == [1, 2, 3, 4, 5]
 
 
-def test_gossip_path3_rumor_reaches_far_end_within_two_sweeps():
-    # S(3) = 6 rounds is two sweeps
-    assert 1 in tdma_gossip(make_path(3), {v: {v: None} for v in (1, 2, 3)})[3]
-
-
 def test_gossip_complete_on_every_small_connected_network():
     for n in (2, 3, 4, 5):
         for net in all_connected_networks(n):
@@ -351,6 +346,72 @@ def test_lenient_carryover_preserves_soundness_under_saturation():
     old_counts = [w.old_count for w in res.windows]
     assert old_counts[-1] > old_counts[1]
     assert res.metrics.final_backlog() > 0
+
+
+# ---------------------------------------------------------------- window record
+
+
+# each window's (old_count, l_prime, delta, phase2_length, truncated)
+STRICT_RANDOM6_WINDOWS = [(0, 0, 0, 0, False), (4, 2, 2, 6, False),
+                          (3, 2, 2, 6, False), (3, 2, 2, 6, False),
+                          (4, 2, 3, 8, False), (3, 2, 2, 6, False)]
+SATURATED_K6_WINDOWS = [(0, 0, 0, 0, False), (31, 3, 30, 93, True),
+                        (61, 3, 60, 183, True), (91, 3, 90, 273, True),
+                        (91, 3, 90, 273, True), (121, 3, 120, 363, True),
+                        (151, 3, 150, 453, True)]
+
+
+@pytest.mark.parametrize("case", ["strict-tdma", "lenient-tdma", "lenient-oracle"])
+def test_each_window_is_planned_once(monkeypatch, case):
+    calls = []
+
+    def counted(net, old_tours):
+        calls.append(len(old_tours))
+        return plan_window(net, old_tours)
+
+    monkeypatch.setattr(ogf, "plan_window", counted)
+    if case == "strict-tdma":
+        adv = _adv(1, 8, 1, 2)
+        net = make_random_connected(6, 0.4, 3)
+        trace = gen_balanced(net, _derated(adv), 3, 260)
+        res = run_ogf(net, adv, GossipConfig.tdma(), trace, 260)
+        expected = STRICT_RANDOM6_WINDOWS
+    else:
+        adv = _adv(1, 2, 1, 3)
+        net, trace = gen_unbalanced_clique(adv, 6, 2, 400)
+        config = GossipConfig.tdma() if case == "lenient-tdma" else GossipConfig.oracle(30)
+        res = run_ogf(net, adv, config, trace, 400, window_override=60, strict=False)
+        expected = SATURATED_K6_WINDOWS
+    assert res.windows == [ogf.WindowStats(i, *w) for i, w in enumerate(expected, 1)]
+    # one plan per window, each from that window's old tours
+    assert calls == [w.old_count for w in res.windows]
+
+
+def _planned_alone(alg, states):
+    """Snapshot each hand-built TDMA node at window 2's start and plan it at
+    the window's plan round, with no gossip between them."""
+    start = alg.w + 1
+    for round_no in (start, start + alg.s_n):
+        for state in states:
+            alg.on_round(state, round_no)
+
+
+def test_nodes_with_different_rumors_plan_from_their_own():
+    net = make_path(4)
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
+    t1, t2 = Tour(1, 1, (1, 2, 3)), Tour(2, 1, (3, 4))
+    states = [_state_with(net, [(1, t1, 0)]), _state_with(net, [(3, t2, 0)])]
+    _planned_alone(alg, states)
+    assert states[0].memory["plan"] == plan_window(net, [t1])
+    assert states[1].memory["plan"] == plan_window(net, [t2])
+    assert [w.l_prime for w in alg.window_log] == [2, 1]
+
+
+def test_node_planning_alone_logs_its_window():
+    net = make_path(4)
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
+    _planned_alone(alg, [_state_with(net, [(2, Tour(1, 1, (2, 3, 4)), 0)])])
+    assert alg.window_log == [ogf.WindowStats(2, 1, 2, 0, 2, False)]
 
 
 # ---------------------------------------------------------------- sleeping

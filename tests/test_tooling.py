@@ -1,7 +1,8 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
 are validated only where they enter the library, the callers of the
-hearing rule are pinned, every defaulted parameter is pinned, and the
-benchmark's tracer finds every function it wraps."""
+hearing rule are pinned, every defaulted parameter and Old-Go-First's
+instance attributes are pinned, and the benchmark's tracer finds every
+function it wraps."""
 
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from radiosim import (GossipConfig, InjectionTrace, OldGoFirst, Tour,
+                      make_path, run)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -84,11 +88,8 @@ def test_hearing_rule_callers_are_pinned():
 
 # every parameter with a default value; a knob added or removed shows here
 DEFAULTED_PARAMETERS = {
-    "adversary._LoadEnvelope.add(c)",
     "adversary.gen_balanced(attempts_per_round)",
-    "adversary.verify_admissible_all_intervals(horizon)",
     "cli.main(argv)",
-    "coloring.greedy_color(order)",
     "coloring.schedule_from_coloring(cg)",
     "conflict.parse_tour_line(lineno)",
     "engine.run(observer)",
@@ -110,6 +111,21 @@ def test_defaulted_parameters_are_pinned():
             found.update(f"{scope}({a.arg})" for a, d in
                          zip(args.kwonlyargs, args.kw_defaults) if d is not None)
     assert found == DEFAULTED_PARAMETERS, sorted(found ^ DEFAULTED_PARAMETERS)
+
+
+# Old-Go-First's per-window state is one record, `_window`; a new cache or
+# counter kept on the algorithm shows here
+OGF_ATTRIBUTES = {"net", "w", "gossip", "s_n", "strict", "queue_bound",
+                  "window_log", "_window"}
+
+
+def test_old_go_first_attributes_are_pinned():
+    net = make_path(4)
+    alg = OldGoFirst(net, 20, GossipConfig.oracle(12))
+    run(net, alg, InjectionTrace((Tour(1, 1, (1, 2, 3)),), 1), 60)
+    assert alg.window_log
+    found = set(vars(alg).keys())
+    assert found == OGF_ATTRIBUTES, sorted(found ^ OGF_ATTRIBUTES)
 
 
 def test_tracer_targets_exist():
