@@ -13,8 +13,9 @@ hears.
 A node may sleep.  `on_round` may set `NodeState.wake` to the next round
 in which the node needs to act; until then `run` does not call `on_round`
 for it and the node listens.  A tour injected at the node, or any message
-the node hears, resets `wake` to 0, so the node acts again in the next
-round that reaches it.  A node that never sets `wake` acts in every round.
+the node hears, resets `wake` to 0 (before `on_hear`, which may set it
+again), so the node acts again in the next round that reaches it.  A node
+that never sets `wake` acts in every round.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     registered with it, so no listener scans its own neighbors.
 
     Cost: one C-level comparison of the action map's keys with the node
-    set, one C-level fill of the all-silence outcome, and Python work only
-    for the transmitters and their neighborhoods; listening nodes cost no
-    Python-level step.  A malformed map is reported as a scan in node
-    order meets it: the first node with no action or an invalid one, else
-    the unknown nodes.
+    set, one C-level fill of the all-silence outcome, one Python-level pass
+    over the action map in which a listener costs one identity test, and
+    further Python work only for the transmitters and their neighborhoods.
+    A malformed map is reported as a scan in node order meets it: the first
+    node with no action or an invalid one, else the unknown nodes.
     """
     adj = net._adj
     if actions.keys() != adj.keys():
@@ -269,12 +270,18 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         the message to `on_hear`, move a heard tour one hop and record its
         delivery at its destination;
     (5) append the round's backlog, undelivered hops and largest queue,
-        raise the per-node peaks of the nodes whose queue gained a tour,
-        and check conservation.
-    Sleeping nodes cost no callback, so a round's Python-level work is the
-    awake nodes' callbacks, the transmitters' neighborhoods in `step` and
-    the heard messages, plus one pass over the nodes in (2) and, in rounds
-    with a transmitter, in (4).  Fully deterministic.
+        raise the per-node peaks, and check conservation.
+    Outside `step`, a round's Python-level work is proportional to its
+    events: the awake nodes' callbacks, the transmitters' neighborhoods and
+    the heard messages.  A node that still sleeps at the end of the round
+    in which it set `wake` goes into the bucket of that round, and is
+    called again when the bucket comes due (an entry whose `wake` has
+    changed since is stale and skipped) or when it is woken.  The backlog and a count of
+    nodes per queue size are kept running, from the queue length of every
+    node that a callback or the engine touched, so a callback that changes
+    its own queue still breaks conservation.  Only `step`, from whose calls
+    the benchmark's tracer counts node-rounds and radio events, costs O(n)
+    in every round.  Fully deterministic.
 
     `observer(round, sending, outcome)` is called after step (3) with the
     message of each transmitting node and every node's outcome; tests and
@@ -287,29 +294,45 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
 
     by_round = trace.by_round()
     states = {v: NodeState(v, net.n) for v in net.nodes()}
-    queues = [state.queue for state in states.values()]
-    all_listen = dict.fromkeys(states, LISTEN)
+    neighbors = {v: sorted(net._adj[v]) for v in states}  # each in node order
+    # the round's actions: all LISTEN again after each round's `step`
+    actions: dict[int, Action] = dict.fromkeys(states, LISTEN)
 
     metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
     peaks = metrics.max_queue_per_node
     hops = 0  # links still to cross, over all queued tours
+    backlog = 0  # tours queued, over all nodes
+    size = [0] * (len(states) + 1)  # each queue's length when last read, by node
+    with_size = [len(states)]  # with_size[k]: nodes whose queue holds k tours
+    top = 0  # the largest queue
+    awake = set(states)  # the nodes that act in the coming round
+    due: dict[int, list[int]] = {}  # round -> nodes that set `wake` to it
 
     for r in range(1, horizon + 1):
-        grew: set[int] = set()  # nodes whose queue gained a tour this round
+        touched: list[int] = []  # nodes whose queue length may have changed
         for tour in by_round.get(r, ()):
             state = states[tour.source]
             state.queue[tour.id] = QueuedTour(tour, 0)
             state.wake = 0
-            grew.add(tour.source)
+            awake.add(tour.source)
+            touched.append(tour.source)
             metrics.injected_total += 1
             hops += tour.length
+        for v in due.pop(r, ()):
+            if states[v].wake == r:
+                awake.add(v)
 
-        actions: dict[int, Action] = all_listen.copy()
         sending: dict[int, Message] = {}
-        for v, state in states.items():
-            if r < state.wake:
-                continue
+        soon = r + 1
+        dozing: list[NodeState] = []  # set `wake` past the next round
+        order = sorted(awake)
+        awake = set(order)  # a set keeps its table size after discards
+        for v, state in zip(order, map(states.__getitem__, order)):
             a = algorithm.on_round(state, r)
+            if state.wake > soon:
+                dozing.append(state)
+            if len(state.queue) != size[v]:
+                touched.append(v)
             if a is LISTEN:
                 continue
             if isinstance(a, Transmit):
@@ -323,22 +346,36 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             actions[v] = a
 
         outcome = step(net, actions)
+        for v in sending:
+            actions[v] = LISTEN
         if observer is not None:
             observer(r, sending, outcome)
 
-        # in a round without transmitters every node hears silence
-        for v, out in outcome.items() if sending else ():
+        # only a transmitter's neighbors can hear
+        if len(sending) > 1:
+            hearers = sorted(set().union(*map(neighbors.__getitem__, sending)))
+        else:
+            hearers = neighbors[next(iter(sending))] if sending else ()
+        for v in hearers:
+            out = outcome[v]
             if out is SILENCE or out is COLLISION:
                 continue
             state = states[v]
             state.wake = 0
             algorithm.on_hear(state, out.sender, out.message)
+            if state.wake > soon:
+                dozing.append(state)
+            else:
+                awake.add(v)
+            if len(state.queue) != size[v]:
+                touched.append(v)
             msg = out.message
             if msg.tour is None:
                 continue
             f, p = msg.tour, msg.progress
             if f.path[p] == out.sender and p + 1 < len(f.path) and f.path[p + 1] == v:
                 del states[out.sender].queue[f.id]
+                touched.append(out.sender)
                 hops -= 1
                 if p + 1 == len(f.path) - 1:
                     latency = r - f.injection_round
@@ -349,17 +386,32 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                         Delivery(f.id, f.injection_round, r, latency, f.length))
                 else:
                     state.queue[f.id] = QueuedTour(f, p + 1)
-                    grew.add(v)
+                    touched.append(v)
 
-        sizes = list(map(len, queues))
-        backlog = sum(sizes)
-        metrics.backlog.append(backlog)
-        metrics.undelivered_hops.append(hops)
-        metrics.max_queue_per_round.append(max(sizes))
-        for v in grew:
-            q = len(states[v].queue)
+        for state in dozing:  # skipping those that heard since
+            if state.wake > soon:
+                awake.discard(state.name)
+                if state.wake <= horizon:  # else only a wake-up brings it back
+                    due.setdefault(state.wake, []).append(state.name)
+        for v in touched:
+            q, old = len(states[v].queue), size[v]
+            if q == old:
+                continue
+            size[v] = q
+            backlog += q - old
+            with_size[old] -= 1
+            if q >= len(with_size):
+                with_size.extend([0] * (q + 1 - len(with_size)))
+            with_size[q] += 1
             if q > peaks[v]:
                 peaks[v] = q
+            if q > top:
+                top = q
+        while not with_size[top]:
+            top -= 1
+        metrics.backlog.append(backlog)
+        metrics.undelivered_hops.append(hops)
+        metrics.max_queue_per_round.append(top)
         if metrics.injected_total != len(metrics.deliveries) + backlog:
             raise EngineError("conservation violated: injected != delivered + queued")
 

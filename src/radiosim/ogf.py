@@ -156,6 +156,13 @@ def plan_window(net: Network, old_tours: list[Tour]) -> WindowPlan:
     return WindowPlan(l_prime, delta, coloring)
 
 
+def _co_resident(state: NodeState, held: QueuedTour, tid: int,
+                 color: int) -> GuaranteeError:
+    return GuaranteeError(
+        f"node {state.name}: tours {held.tour.id} and {tid} both "
+        f"resident with color {color}; per-color residency invariant violated")
+
+
 def _resident_by_color(plan: WindowPlan, state: NodeState) -> dict[int, QueuedTour]:
     """The node's resident old tours by plan color, from one queue scan.
 
@@ -169,9 +176,7 @@ def _resident_by_color(plan: WindowPlan, state: NodeState) -> dict[int, QueuedTo
         if c is None:
             continue
         if c in by_color:
-            raise GuaranteeError(
-                f"node {state.name}: tours {by_color[c].tour.id} and {tid} both "
-                f"resident with color {c}; per-color residency invariant violated")
+            raise _co_resident(state, by_color[c], tid, c)
         by_color[c] = qt
     return by_color
 
@@ -230,6 +235,14 @@ class OldGoFirst(RoutingAlgorithm):
     tour stays awake.  Residency and the queue bound change only when a
     tour is injected or arrives, and both wake the node, so every check
     still fires in the round it would fire without sleeping.
+
+    A node scans its queue for its old tours once per window, when it
+    installs the plan, and keeps them in `memory["resident"]` by color.
+    From then on only the phase-2 tours it heard and the one it sent can
+    have changed it: `memory["moved"]` collects them, and the next
+    `on_round` settles each against the queue.  So the phase-2 action and
+    the sleep rule are dict lookups, and an arrival that breaks per-color
+    residency raises there, as a fresh scan would.
     """
 
     def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
@@ -271,10 +284,35 @@ class OldGoFirst(RoutingAlgorithm):
         state.memory["rumors"] = rumors
         state.memory["plan"] = None
 
+    def _resident(self, state: NodeState,
+                  window_index: int) -> tuple[WindowPlan, dict[int, QueuedTour]]:
+        """The window's plan and the node's resident old tours by color:
+        one queue scan when the node installs the plan, then each moved
+        tour settled against the queue."""
+        memory = state.memory
+        if memory.get("plan") is None:
+            plan = self._ensure_plan(state, window_index)
+            memory["moved"] = []
+            resident = memory["resident"] = _resident_by_color(plan, state)
+            return plan, resident
+        plan, resident, moved = memory["plan"], memory["resident"], memory["moved"]
+        assignment = plan.coloring.assignment
+        for tid in moved:
+            c = assignment.get(tid)
+            if c is None:
+                continue
+            qt, held = state.queue.get(tid), resident.get(c)
+            if qt is None:
+                if held is not None and held.tour.id == tid:
+                    del resident[c]  # sent, and heard by its next hop
+            elif held is None:
+                resident[c] = qt  # arrived
+            elif held.tour.id != tid:
+                raise _co_resident(state, held, tid, c)
+        moved.clear()
+        return plan, resident
+
     def _ensure_plan(self, state: NodeState, window_index: int) -> WindowPlan:
-        plan = state.memory.get("plan")
-        if plan is not None:
-            return plan
         rumors = state.memory.get("rumors", {})
         index, planned_from, plan = self._window
         if plan is None or index != window_index or rumors != planned_from:
@@ -314,11 +352,12 @@ class OldGoFirst(RoutingAlgorithm):
                 nxt = offset + (state.name - 2 - offset) % state.n + 1
                 state.wake = start + min(nxt, self.s_n)
         else:
-            plan = self._ensure_plan(state, index)
-            resident = _resident_by_color(plan, state)
+            plan, resident = self._resident(state, index)
             # offset < w, so a truncated phase 2 ends at the window boundary
             if offset - self.s_n < plan.phase2_length:
                 action = _color_action(plan, resident, offset - self.s_n)
+                if action is not LISTEN:
+                    state.memory["moved"].append(action.message.tour.id)
             else:
                 action = LISTEN
             # with no old tour here the node only listens until the window ends
@@ -331,9 +370,12 @@ class OldGoFirst(RoutingAlgorithm):
         return action
 
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
-        # all nodes run this policy; its phase-2 messages carry no control
+        # all nodes run this policy: phase-1 messages carry control only,
+        # phase-2 ones a tour only
         if message.control is not None:
             merge_gossip(state, message)
+        elif message.tour is not None:
+            state.memory.setdefault("moved", []).append(message.tour.id)
 
 
 @dataclass
@@ -341,9 +383,10 @@ class OgfResult:
     """run_ogf output: engine metrics plus per-window planning stats.
 
     `invariant_checks` is derived, not counted: n times the rounds whose
-    window offset is at least S(n).  An awake node scans its per-color
-    residency in each of them, and a sleeping node's residency cannot
-    change until an injection or an arrival wakes it.
+    window offset is at least S(n).  Per-color residency holds in each of
+    them: a node scans its queue at its plan round, and afterwards its
+    residency changes only when an old tour arrives or leaves, which its
+    next `on_round` settles, and an arrival wakes the node for that round.
     """
 
     metrics: Metrics

@@ -233,6 +233,39 @@ def test_determinism_bit_identical_metrics():
     assert a.deliveries_csv() == b.deliveries_csv()
 
 
+class Dropper(RoutingAlgorithm):
+    """Acts in rounds 1, 2, 4, 6, ...: sleeps through every odd round after 1.
+    In round 4 node 1 drops a tour from its own queue, from `on_round`, or
+    from `on_hear` when node 2 transmits then."""
+
+    def __init__(self, hook: str):
+        self.hook = hook
+
+    def on_round(self, state, round_no):
+        state.wake = round_no + 1 + (round_no % 2 == 0)
+        if round_no == 4 and self.hook == "on_round" and state.name == 1:
+            del state.queue[next(iter(state.queue))]
+        if round_no == 4 and self.hook == "on_hear" and state.name == 2:
+            return _tx()
+        return LISTEN
+
+    def on_hear(self, state, sender, message):
+        if self.hook == "on_hear" and state.name == 1:
+            del state.queue[next(iter(state.queue))]
+
+
+@pytest.mark.parametrize("hook", ["on_round", "on_hear"])
+def test_callback_that_drops_a_tour_breaks_conservation(hook):
+    """A node that changes its own queue from a callback is caught by the
+    conservation check in that round, also after it slept."""
+    trace = InjectionTrace((Tour(1, 1, (1, 2)), Tour(2, 2, (3, 2))), 2)
+    rounds = []
+    with pytest.raises(EngineError, match="^conservation violated"):
+        run(make_path(3), Dropper(hook), trace, 10,
+            observer=lambda r, sending, outcome: rounds.append(r))
+    assert rounds[-1] == 4
+
+
 def test_csv_schemas():
     net = make_path(3)
     trace = InjectionTrace((Tour(1, 1, (1, 2, 3)),), 1)
@@ -267,6 +300,36 @@ class RandomSleeper(RoutingAlgorithm):
         if roll < 0.6:
             return Transmit(Message(control=state.name))
         return LISTEN
+
+
+class HearingSleeper(RandomSleeper):
+    """Also sets `wake` from `on_hear`, relative to the last round the node
+    acted in: a round already past, or one to sleep to despite the wake-up
+    that hearing gives."""
+
+    def on_round(self, state: NodeState, round_no: int):
+        state.memory["acted"] = round_no
+        return super().on_round(state, round_no)
+
+    def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
+        rng = random.Random(f"{self.seed}/{state.name}/{sender}/{sorted(state.queue)}")
+        if rng.random() < 0.5:
+            state.wake = state.memory.get("acted", 0) + rng.randint(-2, 8)
+
+
+class OddWaker(RandomSleeper):
+    """Also sets `wake` to a round not after the next one, or past any
+    horizon, so that only an injection or a heard message wakes the node."""
+
+    def on_round(self, state: NodeState, round_no: int):
+        action = super().on_round(state, round_no)
+        rng = random.Random(f"{self.seed}/{state.name}/{round_no}/odd")
+        roll = rng.random()
+        if roll < 0.15:
+            state.wake = rng.randint(0, round_no + 1)
+        elif roll < 0.2:
+            state.wake = 10**6
+        return action
 
 
 def _reference_run(net, algorithm, trace, horizon) -> Metrics:
@@ -310,8 +373,7 @@ def _reference_run(net, algorithm, trace, horizon) -> Metrics:
     return metrics
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_run_matches_reference_simulator(seed):
+def _check_against_reference(sleeper, seed):
     rng = random.Random(seed)
     net = make_random_connected(rng.randint(2, 12), rng.uniform(0.1, 0.6),
                                 rng.randrange(10**9))
@@ -322,11 +384,23 @@ def test_run_matches_reference_simulator(seed):
         if len(path) >= 2:
             tours.append(Tour(len(tours) + 1, rng.randint(1, horizon), path))
     trace = InjectionTrace(tuple(tours), horizon)
-    got = run(net, RandomSleeper(seed), trace, horizon)
-    want = _reference_run(net, RandomSleeper(seed), trace, horizon)
+    got = run(net, sleeper(seed), trace, horizon)
+    want = _reference_run(net, sleeper(seed), trace, horizon)
     assert got.rounds_csv() == want.rounds_csv()
     assert got.deliveries == want.deliveries  # in order: node order per round
     assert got.deliveries_csv() == want.deliveries_csv()
     assert got.max_queue_per_node == want.max_queue_per_node
     assert got.injected_total == want.injected_total == len(tours)
     assert got.delivered_total > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_matches_reference_simulator(seed):
+    _check_against_reference(RandomSleeper, seed)
+
+
+@pytest.mark.parametrize("sleeper", [HearingSleeper, OddWaker],
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("seed", range(8))
+def test_run_matches_reference_simulator_with_odd_wakes(sleeper, seed):
+    _check_against_reference(sleeper, seed)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
-                      NodeState, OgfError, QueuedTour, Tour, TourError,
+                      Message, NodeState, OgfError, QueuedTour, Tour, TourError,
                       Transmit, WindowOverflowError, build_network,
                       compute_window_bound, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_path,
@@ -186,6 +186,47 @@ def test_on_round_checks_residency_in_every_plan_round(round_no):
     with pytest.raises(ogf.GuaranteeError, match="resident"):
         alg.on_round(state, round_no)
     assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1, 3: 2, 4: 3}
+
+
+def test_arrival_sharing_a_resident_color_raises_at_next_round():
+    # the same plan as above, but node 1 starts with tours 1, 3 and 4 and
+    # learns of tour 2 by gossip; tour 2 then arrives at node 1, which
+    # cannot happen legally, after the plan round
+    net = make_path(6)
+    t1, t2, t3, t4 = (Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6)),
+                      Tour(3, 1, (2, 3)), Tour(4, 1, (3, 4)))
+    state = _state_with(net, [(1, t1, 0), (1, t3, 0), (1, t4, 0)])
+    alg = ogf.OldGoFirst(net, 40, GossipConfig.tdma())
+    alg.on_round(state, 41)
+    alg.on_hear(state, 5, Message(control=((2, (t2, 0)),)))
+    assert alg.on_round(state, 71) == Transmit(Message(tour=t1, progress=0))
+    assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1, 3: 2, 4: 3}
+    # the engine passes the message to on_hear, then queues the tour
+    alg.on_hear(state, 5, Message(tour=t2, progress=0))
+    state.queue[2] = QueuedTour(t2, 1)
+    with pytest.raises(ogf.GuaranteeError, match=(
+            "^node 1: tours 1 and 2 both resident with color 1; "
+            "per-color residency invariant violated$")):
+        alg.on_round(state, 72)
+
+
+def test_node_whose_last_old_tour_left_sleeps_to_window_end():
+    # window 2 starts at round 21; tdma phase 1 takes 12 rounds, then the
+    # colors 1..2 get rounds 33..34
+    net = make_path(4)
+    t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (1, 2, 3))
+    state = _state_with(net, [(1, t1, 0), (1, t2, 0)])
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
+    alg.on_round(state, 21)
+    assert alg.on_round(state, 33) == Transmit(Message(tour=t1, progress=0))
+    del state.queue[1]  # heard by its next hop
+    assert state.wake == 0
+    assert alg.on_round(state, 34) == Transmit(Message(tour=t2, progress=0))
+    assert state.wake == 0
+    del state.queue[2]
+    assert alg.on_round(state, 35) is LISTEN
+    assert state.wake == 41
+    assert state.memory["resident"] == {}
 
 
 def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():
@@ -467,6 +508,20 @@ def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip):
     assert sleeping == awake
     assert sleeping[1].count("\n") > 1  # some tour was delivered
     assert sleeping_calls < awake_calls == net.n * 260
+
+
+@pytest.mark.parametrize("gossip, calls", [("tdma", 679), ("oracle", 184)])
+def test_on_round_calls_of_sleeping_nodes_are_pinned(monkeypatch, gossip, calls):
+    """Who wakes when, as a count: a change to the engine's wake-up or to
+    Old-Go-First's sleep rule shows here even where outputs stay the same."""
+    adv = _adv(1, 8, 1, 2)
+    net = make_random_connected(6, 0.4, 3)
+    s_n = GossipConfig.tdma().rounds(net.n)
+    config = GossipConfig.tdma() if gossip == "tdma" else GossipConfig.oracle(s_n)
+    trace = gen_balanced(net, _derated(adv), 3, 260)
+    probe = _probed(monkeypatch, ogf.OldGoFirst)
+    run_ogf(net, adv, config, trace, 260)
+    assert len(probe) == calls
 
 
 @pytest.mark.parametrize("gossip", ["tdma", "oracle"])
