@@ -17,15 +17,14 @@ from .conflict import (ConflictGraph, Tour, TourError, build_conflict_graph,
                        conflict_node_set, format_tour, max_degree,
                        node_link_conflicts, node_tour_conflicts,
                        parse_tour_line, tours_conflict, validate_tour)
-from .engine import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
-                     Heard, Message, Metrics, NodeState, QueuedTour,
-                     RoundRobin, RoutingAlgorithm, Transmit, run, step)
+from .engine import (COLLISION, LISTEN, SILENCE, EngineError, Heard, Message,
+                     Metrics, NodeState, QueuedTour, RoundRobin,
+                     RoutingAlgorithm, Transmit, run, step)
 from .network import (Network, NetworkError, build_network, format_network,
                       make_clique, make_cycle, make_path,
                       make_random_connected, parse_network)
 from .ogf import (GossipConfig, GuaranteeError, OgfError, OgfResult,
                   OldGoFirst, WindowOverflowError, WindowPlan,
-                  compute_window_bound, phase2_action, plan_window, run_ogf,
-                  tdma_gossip, tdma_gossip_schedule)
+                  compute_window_bound, plan_window, run_ogf, tdma_gossip)
 
 __version__ = "0.1.0"

@@ -131,13 +131,12 @@ def exact_chromatic(cg: ConflictGraph) -> int:
     return upper
 
 
-def schedule_from_coloring(coloring: Coloring,
-                           cg: ConflictGraph | None = None) -> Schedule:
+def schedule_from_coloring(coloring: Coloring, cg: ConflictGraph) -> Schedule:
     """Tour of color i transmits in round i; length = number of colors.
 
-    Pass the conflict graph to have properness checked.
+    Raises ColoringError unless the coloring is proper for `cg`.
     """
-    if cg is not None and not is_proper(cg, coloring):
+    if not is_proper(cg, coloring):
         raise ColoringError("coloring is not proper for the given conflict graph")
     return Schedule(dict(coloring.assignment), coloring.num_colors)
 

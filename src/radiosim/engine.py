@@ -184,10 +184,6 @@ class RoutingAlgorithm:
         pass
 
 
-class AlwaysListen(RoutingAlgorithm):
-    """Never transmits; nothing is ever delivered."""
-
-
 class RoundRobin(RoutingAlgorithm):
     """Baseline: in round r the node (r mod n) + 1 transmits its oldest
     queued tour.  One global transmitter per round, hence collision-free."""
@@ -211,18 +207,18 @@ class Delivery:
 
 @dataclass
 class Metrics:
-    """Per-run record: deliveries, queue peaks, and per-round timelines."""
+    """Per-run record: deliveries and per-round timelines; `max_queue` is
+    the largest end-of-round queue over all nodes and rounds."""
 
     deliveries: list[Delivery] = field(default_factory=list)
     backlog: list[int] = field(default_factory=list)
     undelivered_hops: list[int] = field(default_factory=list)
     max_queue_per_round: list[int] = field(default_factory=list)
-    max_queue_per_node: dict[int, int] = field(default_factory=dict)
     injected_total: int = 0
 
     @property
     def max_queue(self) -> int:
-        return max(self.max_queue_per_node.values(), default=0)
+        return max(self.max_queue_per_round, default=0)
 
     @property
     def delivered_total(self) -> int:
@@ -270,13 +266,13 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         the message to `on_hear`, move a heard tour one hop and record its
         delivery at its destination;
     (5) append the round's backlog, undelivered hops and largest queue,
-        raise the per-node peaks, and check conservation.
+        and check conservation.
     Outside `step`, a round's Python-level work is proportional to its
     events: the awake nodes' callbacks, the transmitters' neighborhoods and
-    the heard messages.  A node that still sleeps at the end of the round
-    in which it set `wake` goes into the bucket of that round, and is
-    called again when the bucket comes due (an entry whose `wake` has
-    changed since is stale and skipped) or when it is woken.  The backlog and a count of
+    the heard messages.  A node goes into the bucket of its `wake` round as
+    soon as a callback sets `wake` past the next round, and is called again
+    when the bucket comes due (an entry whose `wake` has changed since is
+    stale and skipped) or when it is woken.  The backlog and a count of
     nodes per queue size are kept running, from the queue length of every
     node that a callback or the engine touched, so a callback that changes
     its own queue still breaks conservation.  Only `step`, from whose calls
@@ -298,8 +294,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     # the round's actions: all LISTEN again after each round's `step`
     actions: dict[int, Action] = dict.fromkeys(states, LISTEN)
 
-    metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
-    peaks = metrics.max_queue_per_node
+    metrics = Metrics()
     hops = 0  # links still to cross, over all queued tours
     backlog = 0  # tours queued, over all nodes
     size = [0] * (len(states) + 1)  # each queue's length when last read, by node
@@ -324,13 +319,14 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
 
         sending: dict[int, Message] = {}
         soon = r + 1
-        dozing: list[NodeState] = []  # set `wake` past the next round
         order = sorted(awake)
         awake = set(order)  # a set keeps its table size after discards
         for v, state in zip(order, map(states.__getitem__, order)):
             a = algorithm.on_round(state, r)
             if state.wake > soon:
-                dozing.append(state)
+                awake.discard(v)
+                if state.wake <= horizon:  # else only a wake-up brings it back
+                    due.setdefault(state.wake, []).append(v)
             if len(state.queue) != size[v]:
                 touched.append(v)
             if a is LISTEN:
@@ -364,7 +360,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             state.wake = 0
             algorithm.on_hear(state, out.sender, out.message)
             if state.wake > soon:
-                dozing.append(state)
+                awake.discard(v)
+                if state.wake <= horizon:
+                    due.setdefault(state.wake, []).append(v)
             else:
                 awake.add(v)
             if len(state.queue) != size[v]:
@@ -388,11 +386,6 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                     state.queue[f.id] = QueuedTour(f, p + 1)
                     touched.append(v)
 
-        for state in dozing:  # skipping those that heard since
-            if state.wake > soon:
-                awake.discard(state.name)
-                if state.wake <= horizon:  # else only a wake-up brings it back
-                    due.setdefault(state.wake, []).append(state.name)
         for v in touched:
             q, old = len(states[v].queue), size[v]
             if q == old:
@@ -403,8 +396,6 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             if q >= len(with_size):
                 with_size.extend([0] * (q + 1 - len(with_size)))
             with_size[q] += 1
-            if q > peaks[v]:
-                peaks[v] = q
             if q > top:
                 top = q
         while not with_size[top]:

@@ -90,22 +90,10 @@ def compute_window_bound(adv: AdversaryType, s_n: int) -> int:
     return u
 
 
-def _transmitter(n: int, offset: int) -> int:
-    """Phase-1 offset o (0-based) belongs to node (o mod n) + 1."""
-    return (offset % n) + 1
-
-
-def tdma_gossip_schedule(n: int) -> list[int]:
-    """Transmitter per phase-1 round: n-1 sweeps of nodes 1..n (none for
-    n = 1, whose one node already knows everything)."""
-    if n < 1:
-        raise OgfError(f"gossip schedule needs n >= 1, got {n}")
-    return [_transmitter(n, r) for r in range(n * (n - 1))]
-
-
 def gossip_action(state: NodeState, offset: int) -> Action:
-    """Phase-1 action: the offset's transmitter sends its rumor items."""
-    if state.name != _transmitter(state.n, offset):
+    """Phase-1 action: offset o (0-based) belongs to node (o mod n) + 1,
+    which sends its rumor items."""
+    if state.name != offset % state.n + 1:
         return LISTEN
     return Transmit(Message(control=tuple(state.memory["rumors"].items())))
 
@@ -120,7 +108,7 @@ def tdma_gossip(net: Network, rumors: dict[int, dict]) -> dict[int, dict]:
     node v's starting rumor dict `rumors[v]`; returns each node's final one."""
     states = {v: NodeState(v, net.n, memory={"rumors": dict(rumors[v])})
               for v in net.nodes()}
-    for offset in range(len(tdma_gossip_schedule(net.n))):
+    for offset in range(GossipConfig.tdma().rounds(net.n)):
         actions = {v: gossip_action(state, offset) for v, state in states.items()}
         for v, out in engine.step(net, actions).items():
             if isinstance(out, engine.Heard):
@@ -179,26 +167,6 @@ def _resident_by_color(plan: WindowPlan, state: NodeState) -> dict[int, QueuedTo
             raise _co_resident(state, by_color[c], tid, c)
         by_color[c] = qt
     return by_color
-
-
-def _color_action(plan: WindowPlan, resident: dict[int, QueuedTour],
-                  offset: int) -> Action:
-    qt = resident.get(offset % (plan.delta + 1) + 1)
-    if qt is None:
-        return LISTEN
-    return Transmit(Message(tour=qt.tour, progress=qt.progress))
-
-
-def phase2_action(plan: WindowPlan, state: NodeState, offset: int) -> Action:
-    """Transmission policy within phase 2.
-
-    Offset o (0-based) lies in super-round o // (delta+1) + 1 at color
-    round i = o % (delta+1) + 1; a node storing the old tour of color i
-    transmits it, everyone else listens.
-    """
-    if not 0 <= offset < plan.phase2_length:
-        raise OgfError(f"phase-2 offset {offset} outside [0, {plan.phase2_length})")
-    return _color_action(plan, _resident_by_color(plan, state), offset)
 
 
 @dataclass
@@ -353,13 +321,18 @@ class OldGoFirst(RoutingAlgorithm):
                 state.wake = start + min(nxt, self.s_n)
         else:
             plan, resident = self._resident(state, index)
-            # offset < w, so a truncated phase 2 ends at the window boundary
-            if offset - self.s_n < plan.phase2_length:
-                action = _color_action(plan, resident, offset - self.s_n)
-                if action is not LISTEN:
-                    state.memory["moved"].append(action.message.tour.id)
-            else:
+            # phase-2 offset o lies in super-round o // (delta+1) + 1 at color
+            # round o % (delta+1) + 1, where the node holding the old tour of
+            # that color sends it; offset < w, so a truncated phase 2 ends at
+            # the window boundary
+            o = offset - self.s_n
+            qt = (resident.get(o % (plan.delta + 1) + 1)
+                  if o < plan.phase2_length else None)
+            if qt is None:
                 action = LISTEN
+            else:
+                action = Transmit(Message(tour=qt.tour, progress=qt.progress))
+                state.memory["moved"].append(qt.tour.id)
             # with no old tour here the node only listens until the window ends
             state.wake = 0 if resident else start + self.w
 

@@ -152,9 +152,9 @@ def test_schedule_from_coloring_direct_mapping(ring4, ring4_tours):
 
 def test_schedule_from_coloring_trivial_cases():
     col = Coloring({1: 1, 2: 1}, 1)
-    sched = schedule_from_coloring(col)
+    sched = schedule_from_coloring(col, _graph([1, 2], []))
     assert sched.assignment == {1: 1, 2: 1} and sched.length == 1
-    assert schedule_from_coloring(Coloring({}, 0)).length == 0
+    assert schedule_from_coloring(Coloring({}, 0), _graph([], [])).length == 0
 
 
 def test_schedule_from_improper_coloring_rejected():
@@ -166,14 +166,14 @@ def test_schedule_from_improper_coloring_rejected():
 def test_verify_schedule_non_conflicting_same_round():
     net = make_path(6)
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6))]
-    sched = schedule_from_coloring(Coloring({1: 1, 2: 1}, 1))
+    sched = Schedule({1: 1, 2: 1}, 1)
     assert verify_schedule(net, tours, sched)
 
 
 def test_verify_schedule_shared_tail_fails():
     net = make_clique(3)
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (1, 3))]
-    sched = schedule_from_coloring(Coloring({1: 1, 2: 1}, 1))
+    sched = Schedule({1: 1, 2: 1}, 1)
     assert not verify_schedule(net, tours, sched)
 
 
@@ -182,10 +182,10 @@ def test_verify_schedule_neighbor_interference_fails():
     # so node 2 has two transmitting neighbors and hears nothing
     net = make_path(4)
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (3, 4))]
-    sched = schedule_from_coloring(Coloring({1: 1, 2: 1}, 1))
+    sched = Schedule({1: 1, 2: 1}, 1)
     assert not verify_schedule(net, tours, sched)
     # in different rounds both are delivered
-    sched2 = schedule_from_coloring(Coloring({1: 1, 2: 2}, 2))
+    sched2 = Schedule({1: 1, 2: 2}, 2)
     assert verify_schedule(net, tours, sched2)
 
 
@@ -193,17 +193,17 @@ def test_verify_schedule_errors():
     net = make_path(3)
     with pytest.raises(ColoringError, match="one-link"):
         verify_schedule(net, [Tour(1, 1, (1, 2, 3))],
-                        schedule_from_coloring(Coloring({1: 1}, 1)))
+                        Schedule({1: 1}, 1))
     with pytest.raises(ColoringError, match="not scheduled"):
         verify_schedule(net, [Tour(1, 1, (1, 2))],
-                        schedule_from_coloring(Coloring({}, 0)))
+                        Schedule({}, 0))
 
 
 @pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
 def test_sls_entries_reject_malformed_tour(tour, match):
     net = make_path(4)
     with pytest.raises(TourError, match=match):
-        verify_schedule(net, [tour], schedule_from_coloring(Coloring({1: 1}, 1)))
+        verify_schedule(net, [tour], Schedule({1: 1}, 1))
     with pytest.raises(TourError, match=match):
         optimal_sls_length(net, [tour])
 

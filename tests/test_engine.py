@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from radiosim import (COLLISION, LISTEN, SILENCE, AlwaysListen, EngineError,
+from radiosim import (COLLISION, LISTEN, SILENCE, EngineError,
                       Heard, InjectionTrace, Message, Metrics, NodeState,
                       QueuedTour, RoundRobin, RoutingAlgorithm, Tour, TourError,
                       Transmit, make_clique, make_path, make_random_connected,
@@ -143,7 +143,7 @@ def test_empty_trace_zero_backlog():
 def test_always_listen_never_delivers():
     net = make_path(3)
     trace = InjectionTrace((Tour(1, 1, (1, 2)),), 1)
-    metrics = run(net, AlwaysListen(), trace, 20)
+    metrics = run(net, RoutingAlgorithm(), trace, 20)
     assert not metrics.deliveries
     assert metrics.final_backlog() == 1
 
@@ -151,7 +151,7 @@ def test_always_listen_never_delivers():
 @pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
 def test_run_rejects_malformed_tour(tour, match):
     with pytest.raises(TourError, match=match):
-        run(make_path(4), AlwaysListen(), InjectionTrace((tour,), 1), 5)
+        run(make_path(4), RoutingAlgorithm(), InjectionTrace((tour,), 1), 5)
 
 
 def test_round_robin_single_transmitter_never_collides():
@@ -284,12 +284,14 @@ def test_csv_schemas():
 class RandomSleeper(RoutingAlgorithm):
     """Seeded choices that depend only on (node, round): each round a node
     may sleep a few rounds, and it transmits a resident tour, a control
-    message or nothing."""
+    message or nothing.  `calls` records each call as (round, node)."""
 
     def __init__(self, seed: int):
         self.seed = seed
+        self.calls: list[tuple[int, int]] = []
 
     def on_round(self, state: NodeState, round_no: int):
+        self.calls.append((round_no, state.name))
         rng = random.Random(f"{self.seed}/{state.name}/{round_no}")
         if rng.random() < 0.4:
             state.wake = round_no + rng.randint(1, 6)
@@ -332,12 +334,14 @@ class OddWaker(RandomSleeper):
         return action
 
 
-def _reference_run(net, algorithm, trace, horizon) -> Metrics:
+def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, int]]:
     """engine.run's contract as a plain loop: wake by injection and by
     hearing, call every node with wake <= r, apply the full `step`, and
-    rescan every queue for the round's metrics."""
+    rescan every queue for the round's metrics.  Also returns each node's
+    largest end-of-round queue."""
     states = {v: NodeState(v, net.n) for v in net.nodes()}
-    metrics = Metrics(max_queue_per_node={v: 0 for v in net.nodes()})
+    metrics = Metrics()
+    peaks = dict.fromkeys(states, 0)
     for r in range(1, horizon + 1):
         for f in trace.injections:
             if f.injection_round == r:
@@ -368,9 +372,8 @@ def _reference_run(net, algorithm, trace, horizon) -> Metrics:
         metrics.max_queue_per_round.append(
             max(len(s.queue) for s in states.values()))
         for v, s in states.items():
-            metrics.max_queue_per_node[v] = max(metrics.max_queue_per_node[v],
-                                                len(s.queue))
-    return metrics
+            peaks[v] = max(peaks[v], len(s.queue))
+    return metrics, peaks
 
 
 def _check_against_reference(sleeper, seed):
@@ -384,12 +387,15 @@ def _check_against_reference(sleeper, seed):
         if len(path) >= 2:
             tours.append(Tour(len(tours) + 1, rng.randint(1, horizon), path))
     trace = InjectionTrace(tuple(tours), horizon)
-    got = run(net, sleeper(seed), trace, horizon)
-    want = _reference_run(net, sleeper(seed), trace, horizon)
+    got_alg, want_alg = sleeper(seed), sleeper(seed)
+    got = run(net, got_alg, trace, horizon)
+    want, peaks = _reference_run(net, want_alg, trace, horizon)
+    # each awake node once per round, in node order
+    assert got_alg.calls == want_alg.calls
     assert got.rounds_csv() == want.rounds_csv()
     assert got.deliveries == want.deliveries  # in order: node order per round
     assert got.deliveries_csv() == want.deliveries_csv()
-    assert got.max_queue_per_node == want.max_queue_per_node
+    assert got.max_queue == max(peaks.values())
     assert got.injected_total == want.injected_total == len(tours)
     assert got.delivered_total > 0
 

@@ -11,8 +11,8 @@ from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
                       Transmit, WindowOverflowError, build_network,
                       compute_window_bound, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_path,
-                      make_random_connected, phase2_action, plan_window, run,
-                      run_ogf, tdma_gossip, tdma_gossip_schedule)
+                      make_random_connected, plan_window, run, run_ogf,
+                      tdma_gossip)
 from radiosim import ogf
 from conftest import MALFORMED_TOURS, all_connected_networks, spider_burst
 
@@ -60,20 +60,27 @@ def test_window_bound_satisfies_feasibility_inequality():
 # ---------------------------------------------------------------- gossip
 
 
+def _tdma_transmitters(n):
+    """The nodes that `gossip_action` lets transmit at each of the S(n)
+    phase-1 offsets."""
+    states = [NodeState(v, n, memory={"rumors": {}}) for v in range(1, n + 1)]
+    return [[s.name for s in states if ogf.gossip_action(s, offset) is not LISTEN]
+            for offset in range(GossipConfig.tdma().rounds(n))]
+
+
 def test_tdma_schedule_two_nodes():
-    assert tdma_gossip_schedule(2) == [1, 2]
+    assert _tdma_transmitters(2) == [[1], [2]]
 
 
 def test_tdma_schedule_one_node_is_empty():
     # one node knows everything already: S(1) = 0 rounds
-    assert tdma_gossip_schedule(1) == [] and GossipConfig.tdma().rounds(1) == 0
+    assert _tdma_transmitters(1) == [] and GossipConfig.tdma().rounds(1) == 0
     assert tdma_gossip(build_network(1, []), {1: {1: None}}) == {1: {1: None}}
 
 
 def test_tdma_schedule_length_and_sweeps():
-    sched = tdma_gossip_schedule(5)
-    assert len(sched) == 20
-    assert sched[:5] == [1, 2, 3, 4, 5] and sched[5:10] == [1, 2, 3, 4, 5]
+    # n-1 = 4 sweeps of nodes 1..5, one transmitter per round
+    assert _tdma_transmitters(5) == [[v] for v in range(1, 6)] * 4
 
 
 def test_gossip_complete_on_every_small_connected_network():
@@ -121,54 +128,55 @@ def _state_with(net, queued):
     return state
 
 
+def _phase2_actions(net, state, heard, offsets):
+    """Old-Go-First's actions for `state` at phase-2 offsets of window 2,
+    under TDMA gossip and w = S(n) + 8: the node snapshots its queue at the
+    window's start, hears of the old tours `heard` in phase 1, and plans
+    at offset 0."""
+    s_n = GossipConfig.tdma().rounds(net.n)
+    w = s_n + 8
+    alg = ogf.OldGoFirst(net, w, GossipConfig.tdma())
+    alg.on_round(state, w + 1)
+    alg.on_hear(state, 0, Message(control=tuple((f.id, (f, 0)) for f in heard)))
+    return [alg.on_round(state, w + 1 + s_n + o) for o in offsets]
+
+
 def test_phase2_action_transmits_matching_color():
     net = make_path(4)
     tour = Tour(5, 1, (2, 3, 4))
-    plan = plan_window(net, [tour])
     state = _state_with(net, [(2, tour, 0)])
     # delta 0: super-rounds are single rounds; color 1 transmits at offset 0
-    action = phase2_action(plan, state, 0)
-    assert isinstance(action, Transmit) and action.message.tour is tour
+    [action] = _phase2_actions(net, state, [], [0])
+    assert action == Transmit(Message(tour=tour, progress=0))
 
 
 def test_phase2_action_listens_on_color_mismatch(ring4, ring4_tours):
-    plan = plan_window(ring4, list(ring4_tours.values()))
     f4 = ring4_tours["f4"]  # color 3 under ascending-id greedy
     state = _state_with(ring4, [(1, f4, 0)])
-    assert plan.coloring.assignment[4] == 3
-    assert phase2_action(plan, state, 0) is LISTEN   # color-1 round
-    assert phase2_action(plan, state, 1) is LISTEN   # color-2 round
-    assert isinstance(phase2_action(plan, state, 2), Transmit)
+    others = [f for f in ring4_tours.values() if f is not f4]
+    actions = _phase2_actions(ring4, state, others, [0, 1, 2])
+    assert state.memory["plan"].coloring.assignment[4] == 3
+    # color-1 and color-2 rounds, then f4's
+    assert actions == [LISTEN, LISTEN, Transmit(Message(tour=f4, progress=0))]
 
 
 def test_phase2_action_ignores_unplanned_tours():
     net = make_path(4)
     old = Tour(1, 1, (1, 2))
-    new = Tour(2, 55, (3, 4))
-    plan = plan_window(net, [old])
+    new = Tour(2, 25, (3, 4))  # injected after window 2 starts
     state = _state_with(net, [(3, new, 0)])
-    assert phase2_action(plan, state, 0) is LISTEN
-
-
-def test_phase2_action_offset_range():
-    net = make_path(3)
-    plan = plan_window(net, [Tour(1, 1, (1, 2))])
-    state = _state_with(net, [(1, Tour(1, 1, (1, 2)), 0)])
-    with pytest.raises(OgfError, match="offset"):
-        phase2_action(plan, state, plan.phase2_length)
+    assert _phase2_actions(net, state, [old], [0]) == [LISTEN]
+    assert state.memory["plan"].coloring.assignment == {1: 1}
 
 
 def test_phase2_action_detects_same_color_co_residency():
     net = make_path(6)
     # two far-apart tours do not conflict, so they share color 1
     t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6))
-    plan = plan_window(net, [t1, t2])
-    assert plan.coloring.assignment == {1: 1, 2: 1}
-    state = NodeState(name=1, n=6)
-    state.queue[1] = QueuedTour(t1, 0)
-    state.queue[2] = QueuedTour(t2, 0)  # cannot co-reside legally
-    with pytest.raises(OgfError, match="residency"):
-        phase2_action(plan, state, 0)
+    state = _state_with(net, [(1, t1, 0), (1, t2, 0)])  # cannot co-reside legally
+    with pytest.raises(ogf.GuaranteeError, match="residency"):
+        _phase2_actions(net, state, [], [0])
+    assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1}
 
 
 @pytest.mark.parametrize("round_no", [73, 75],
@@ -489,7 +497,7 @@ def _sleeping_and_awake(monkeypatch, *args, **kwargs):
         try:
             res = run_ogf(*args, **kwargs)
             out = (res.metrics.rounds_csv(), res.metrics.deliveries_csv(),
-                   res.metrics.max_queue_per_node, res.windows)
+                   res.metrics.max_queue, res.windows)
         except ogf.GuaranteeError as exc:
             out = (type(exc), str(exc))
         results.append((out, len(calls)))

@@ -1,8 +1,8 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
 are validated only where they enter the library, the callers of the
-hearing rule are pinned, every defaulted parameter and Old-Go-First's
-instance attributes are pinned, and the benchmark's tracer finds every
-function it wraps."""
+hearing rule are pinned, the package's public names, every defaulted
+parameter and Old-Go-First's instance attributes are pinned, and the
+benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
@@ -11,10 +11,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import radiosim
 from radiosim import (GossipConfig, InjectionTrace, OldGoFirst, Tour,
                       make_path, run)
 
@@ -86,11 +88,46 @@ def test_hearing_rule_callers_are_pinned():
                                 "ogf.tdma_gossip"}
 
 
+# the names `import radiosim` offers, by defining module; a name added or
+# removed shows here
+PUBLIC_NAMES = {
+    # adversary
+    "AdversaryError", "AdversaryType", "Balance", "InjectionTrace",
+    "LoadLedger", "Violation", "classify", "format_trace", "gen_balanced",
+    "gen_unbalanced_clique", "node_load", "parse_trace", "verify_admissible",
+    "verify_admissible_all_intervals",
+    # coloring
+    "Coloring", "ColoringError", "Schedule", "exact_chromatic", "greedy_color",
+    "is_proper", "optimal_sls_length", "schedule_from_coloring",
+    "verify_schedule",
+    # conflict
+    "ConflictGraph", "Tour", "TourError", "build_conflict_graph",
+    "conflict_node_set", "format_tour", "max_degree", "node_link_conflicts",
+    "node_tour_conflicts", "parse_tour_line", "tours_conflict", "validate_tour",
+    # engine
+    "COLLISION", "LISTEN", "SILENCE", "EngineError", "Heard", "Message",
+    "Metrics", "NodeState", "QueuedTour", "RoundRobin", "RoutingAlgorithm",
+    "Transmit", "run", "step",
+    # network
+    "Network", "NetworkError", "build_network", "format_network", "make_clique",
+    "make_cycle", "make_path", "make_random_connected", "parse_network",
+    # ogf
+    "GossipConfig", "GuaranteeError", "OgfError", "OgfResult", "OldGoFirst",
+    "WindowOverflowError", "WindowPlan", "compute_window_bound", "plan_window",
+    "run_ogf", "tdma_gossip",
+}
+
+
+def test_public_names_are_pinned():
+    found = {name for name, value in vars(radiosim).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert found == PUBLIC_NAMES, sorted(found ^ PUBLIC_NAMES)
+
+
 # every parameter with a default value; a knob added or removed shows here
 DEFAULTED_PARAMETERS = {
     "adversary.gen_balanced(attempts_per_round)",
     "cli.main(argv)",
-    "coloring.schedule_from_coloring(cg)",
     "conflict.parse_tour_line(lineno)",
     "engine.run(observer)",
     "ogf.OldGoFirst.__init__(queue_bound)",
