@@ -10,16 +10,16 @@ from .adversary import (AdversaryError, AdversaryType, Balance,
                         format_trace, gen_balanced, gen_unbalanced_clique,
                         node_load, parse_trace, verify_admissible,
                         verify_admissible_all_intervals)
-from .coloring import (Coloring, ColoringError, Schedule, exact_chromatic,
-                       greedy_color, is_proper, optimal_sls_length,
-                       schedule_from_coloring, verify_schedule)
+from .coloring import (Coloring, ColoringError, exact_chromatic, greedy_color,
+                       is_proper, optimal_sls_length, schedule_from_coloring,
+                       verify_schedule)
 from .conflict import (ConflictGraph, Tour, TourError, build_conflict_graph,
                        conflict_node_set, format_tour, max_degree,
                        node_link_conflicts, node_tour_conflicts,
                        parse_tour_line, tours_conflict, validate_tour)
 from .engine import (COLLISION, LISTEN, SILENCE, EngineError, Heard, Message,
-                     Metrics, NodeState, QueuedTour, RoundRobin,
-                     RoutingAlgorithm, Transmit, run, step)
+                     Metrics, NodeState, RoundRobin, RoutingAlgorithm, run,
+                     step)
 from .network import (Network, NetworkError, build_network, format_network,
                       make_clique, make_cycle, make_path,
                       make_random_connected, parse_network)

@@ -27,18 +27,11 @@ class ColoringError(ValueError):
 
 @dataclass(frozen=True)
 class Coloring:
-    """Map from tour id to a color in {1..num_colors}."""
+    """Map from tour id to a color in {1..num_colors}.  It is also a schedule
+    of `num_colors` rounds: the tour of color i transmits in round i."""
 
     assignment: dict[int, int]
     num_colors: int
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Map from tour id to a transmission round; length is the last round."""
-
-    assignment: dict[int, int]
-    length: int
 
 
 def greedy_color(cg: ConflictGraph) -> Coloring:
@@ -131,36 +124,33 @@ def exact_chromatic(cg: ConflictGraph) -> int:
     return upper
 
 
-def schedule_from_coloring(coloring: Coloring, cg: ConflictGraph) -> Schedule:
-    """Tour of color i transmits in round i; length = number of colors.
-
-    Raises ColoringError unless the coloring is proper for `cg`.
-    """
+def schedule_from_coloring(coloring: Coloring, cg: ConflictGraph) -> Coloring:
+    """A proper coloring is its own schedule (the tour of color i transmits
+    in round i); raises ColoringError unless `coloring` is proper for `cg`."""
     if not is_proper(cg, coloring):
         raise ColoringError("coloring is not proper for the given conflict graph")
-    return Schedule(dict(coloring.assignment), coloring.num_colors)
+    return coloring
 
 
 def _round_delivers(net: Network, listen: dict[int, engine.Action],
-                    group: Sequence[engine.Transmit]) -> bool:
+                    group: Sequence[engine.Message]) -> bool:
     """Simulate one round in which every tour of the group transmits from its
     tail while everyone else listens; True iff every head hears its tail.
 
     The caller prebuilds, once per instance, `listen`, the all-LISTEN action
-    map of `net`, and the group's actions, each tour's
-    `Transmit(Message(tour=f, progress=0))`; a round copies the map and sets
-    the tails.  Two tours sharing a tail cannot both transmit, so such a
-    group fails without a round.
+    map of `net`, and the group's actions, each tour's `Message(tour=f)`; a
+    round copies the map and sets the tails.  Two tours sharing a tail
+    cannot both transmit, so such a group fails without a round.
     """
     actions = listen.copy()
     for a in group:
-        tail = a.message.tour.path[0]
+        tail = a.tour.path[0]
         if actions[tail] is not engine.LISTEN:
             return False
         actions[tail] = a
     outcome = engine.step(net, actions)
     for a in group:
-        f = a.message.tour
+        f = a.tour
         out = outcome[f.path[1]]
         if not (isinstance(out, engine.Heard)
                 and out.sender == f.path[0]
@@ -169,11 +159,11 @@ def _round_delivers(net: Network, listen: dict[int, engine.Action],
     return True
 
 
-def _round_inputs(net: Network, tours: list[Tour]) -> tuple[dict, list[engine.Transmit]]:
+def _round_inputs(net: Network, tours: list[Tour]) -> tuple[dict, list[engine.Message]]:
     """What `_round_delivers` takes: the all-LISTEN action map of `net`, and
     each tour's transmission from its tail, in the order of `tours`."""
     return (dict.fromkeys(net.nodes(), engine.LISTEN),
-            [engine.Transmit(engine.Message(tour=f, progress=0)) for f in tours])
+            [engine.Message(tour=f) for f in tours])
 
 
 def one_link_tours(net: Network, tours: Iterable[Tour]) -> list[Tour]:
@@ -187,15 +177,15 @@ def one_link_tours(net: Network, tours: Iterable[Tour]) -> list[Tour]:
     return tour_list
 
 
-def verify_schedule(net: Network, tours: Iterable[Tour], sched: Schedule) -> bool:
-    """True iff simulating the schedule delivers every one-link tour in its
-    assigned round, under the real hearing semantics."""
+def verify_schedule(net: Network, tours: Iterable[Tour], sched: Coloring) -> bool:
+    """True iff simulating the schedule delivers every one-link tour in the
+    round of its color, under the real hearing semantics."""
     tour_list = one_link_tours(net, tours)
     for f in tour_list:
         if f.id not in sched.assignment:
             raise ColoringError(f"tour {f.id} is not scheduled")
     listen, sends = _round_inputs(net, tour_list)
-    rounds: dict[int, list[engine.Transmit]] = {}
+    rounds: dict[int, list[engine.Message]] = {}
     for f, a in zip(tour_list, sends):
         rounds.setdefault(sched.assignment[f.id], []).append(a)
     return all(_round_delivers(net, listen, group) for group in rounds.values())
@@ -220,7 +210,7 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     listen, sends = _round_inputs(net, tour_list)
 
     def feasible(t_rounds: int) -> bool:
-        groups: list[list[engine.Transmit]] = [[] for _ in range(t_rounds)]
+        groups: list[list[engine.Message]] = [[] for _ in range(t_rounds)]
 
         def place(i: int, used: int) -> bool:
             if i == len(sends):

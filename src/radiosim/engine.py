@@ -1,14 +1,15 @@
 """Synchronous round-based simulation with the radio hearing rule.
 
-Each round every node either transmits one message or listens.  A
+Each round every node either transmits one `Message` or listens.  A
 listening node hears a message iff exactly one of its neighbors
 transmits in that round; with two or more transmitting neighbors the
 messages collide.  A transmitting node hears nothing.
 
 The engine owns ground truth: queues, packet movement, deliveries and
-metrics.  A routing algorithm acts through two hooks: `on_round` picks a
-node's action from its local state, and `on_hear` receives what the node
-hears.
+metrics.  A queue holds `Tour`s, and a tour's position is its holder's
+index on the tour's simple path, so no position is stored.  A routing
+algorithm acts through two hooks: `on_round` picks a node's action from
+its local state, and `on_hear` receives what the node hears.
 
 A node may sleep.  `on_round` may set `NodeState.wake` to the next round
 in which the node needs to act; until then `run` does not call `on_round`
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NoReturn
 
@@ -35,14 +37,14 @@ class EngineError(ValueError):
 
 @dataclass(frozen=True)
 class Message:
-    """What a transmission carries: at most one queued tour being forwarded
-    (with the sender's progress index) plus optional control payload.
+    """A transmission, and the action of a node that transmits: at most one
+    tour from the sender's queue, forwarded one hop along its path, plus
+    optional control payload.
 
     Gossip-style control messages set `tour` to None.
     """
 
     tour: Tour | None = None
-    progress: int | None = None
     control: object = None
 
 
@@ -56,12 +58,7 @@ class _Listen:
 LISTEN = _Listen()
 
 
-@dataclass(frozen=True)
-class Transmit:
-    message: Message
-
-
-Action = _Listen | Transmit
+Action = _Listen | Message
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def _reject(net: Network, actions: dict[int, Action]) -> NoReturn:
         if v not in actions:
             raise EngineError(f"node {v} has no action")
         a = actions[v]
-        if a is not LISTEN and not isinstance(a, Transmit):
+        if a is not LISTEN and not isinstance(a, Message):
             raise EngineError(f"node {v}: invalid action {a!r}")
     extra = sorted(set(actions) - set(net.nodes()))
     raise EngineError(f"actions for unknown nodes {extra}")
@@ -128,7 +125,7 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     for v, a in actions.items():
         if a is LISTEN:
             continue
-        if not isinstance(a, Transmit):
+        if not isinstance(a, Message):
             _reject(net, actions)
         for u in adj[v]:
             senders[u] = None if u in senders else v
@@ -137,25 +134,20 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     for v, sender in senders.items():
         if actions[v] is LISTEN:
             outcome[v] = (COLLISION if sender is None
-                          else Heard(sender, actions[sender].message))
+                          else Heard(sender, actions[sender]))
     return outcome
-
-
-@dataclass
-class QueuedTour:
-    tour: Tour
-    progress: int  # index into tour.path of the node currently holding it
 
 
 @dataclass
 class NodeState:
     """Everything a routing algorithm may see for one node: its name, the
-    network size, its queue, a private scratch dict, and `wake`, the first
+    network size, its queue (id -> `Tour`; the node lies on each tour's
+    path, short of its end), a private scratch dict, and `wake`, the first
     round in which it needs to act again (0: every round)."""
 
     name: int
     n: int
-    queue: dict[int, QueuedTour] = field(default_factory=dict)
+    queue: dict[int, Tour] = field(default_factory=dict)
     memory: dict = field(default_factory=dict)
     wake: int = 0
 
@@ -184,6 +176,9 @@ class RoutingAlgorithm:
         pass
 
 
+_INJECTION_ORDER = operator.attrgetter("injection_round", "id")  # oldest first
+
+
 class RoundRobin(RoutingAlgorithm):
     """Baseline: in round r the node (r mod n) + 1 transmits its oldest
     queued tour.  One global transmitter per round, hence collision-free."""
@@ -191,9 +186,7 @@ class RoundRobin(RoutingAlgorithm):
     def on_round(self, state: NodeState, round_no: int) -> Action:
         if state.name != (round_no % state.n) + 1 or not state.queue:
             return LISTEN
-        oldest = min(state.queue.values(),
-                     key=lambda qt: (qt.tour.injection_round, qt.tour.id))
-        return Transmit(Message(tour=oldest.tour, progress=oldest.progress))
+        return Message(tour=min(state.queue.values(), key=_INJECTION_ORDER))
 
 
 @dataclass(frozen=True)
@@ -260,11 +253,13 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     (1) put round r's injections into their source queues and wake the
         sources;
     (2) call `on_round` for each awake node (`r >= state.wake`) in node
-        order; a sleeping node listens;
+        order; a sleeping node listens.  A sent tour must be the `Tour`
+        object queued at the sender under its id;
     (3) apply the hearing rule to the round's actions (`step`);
     (4) for each node that heard a message, in node order: wake it, pass
-        the message to `on_hear`, move a heard tour one hop and record its
-        delivery at its destination;
+        the message to `on_hear`, and if the node follows the sender on a
+        heard tour's path, move the tour one hop and record its delivery
+        at its destination;
     (5) append the round's backlog, undelivered hops and largest queue,
         and check conservation.
     Outside `step`, a round's Python-level work is proportional to its
@@ -307,7 +302,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         touched: list[int] = []  # nodes whose queue length may have changed
         for tour in by_round.get(r, ()):
             state = states[tour.source]
-            state.queue[tour.id] = QueuedTour(tour, 0)
+            state.queue[tour.id] = tour
             state.wake = 0
             awake.add(tour.source)
             touched.append(tour.source)
@@ -331,14 +326,12 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                 touched.append(v)
             if a is LISTEN:
                 continue
-            if isinstance(a, Transmit):
-                msg = sending[v] = a.message
-                if msg.tour is not None:
-                    qt = state.queue.get(msg.tour.id)
-                    if qt is None or qt.progress != msg.progress:
-                        raise EngineError(
-                            f"node {v} round {r}: transmitted tour "
-                            f"{msg.tour.id} is not resident here")
+            if isinstance(a, Message):
+                sending[v] = a
+                if a.tour is not None and state.queue.get(a.tour.id) is not a.tour:
+                    raise EngineError(
+                        f"node {v} round {r}: transmitted tour "
+                        f"{a.tour.id} is not resident here")
             actions[v] = a
 
         outcome = step(net, actions)
@@ -367,11 +360,11 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                 awake.add(v)
             if len(state.queue) != size[v]:
                 touched.append(v)
-            msg = out.message
-            if msg.tour is None:
+            f = out.message.tour
+            if f is None:
                 continue
-            f, p = msg.tour, msg.progress
-            if f.path[p] == out.sender and p + 1 < len(f.path) and f.path[p + 1] == v:
+            p = f.path.index(out.sender)
+            if f.path[p + 1] == v:
                 del states[out.sender].queue[f.id]
                 touched.append(out.sender)
                 hops -= 1
@@ -383,7 +376,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                     metrics.deliveries.append(
                         Delivery(f.id, f.injection_round, r, latency, f.length))
                 else:
-                    state.queue[f.id] = QueuedTour(f, p + 1)
+                    state.queue[f.id] = f
                     touched.append(v)
 
         for v in touched:

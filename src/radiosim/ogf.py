@@ -23,7 +23,7 @@ from .adversary import (AdversaryType, Balance, InjectionTrace, classify,
 from .coloring import Coloring, greedy_color
 from .conflict import Tour, build_conflict_graph, max_degree
 from .engine import (LISTEN, Action, Message, Metrics, NodeState,
-                     QueuedTour, RoutingAlgorithm, Transmit)
+                     RoutingAlgorithm)
 from .network import Network
 
 
@@ -95,7 +95,7 @@ def gossip_action(state: NodeState, offset: int) -> Action:
     which sends its rumor items."""
     if state.name != offset % state.n + 1:
         return LISTEN
-    return Transmit(Message(control=tuple(state.memory["rumors"].items())))
+    return Message(control=tuple(state.memory["rumors"].items()))
 
 
 def merge_gossip(state: NodeState, message: Message) -> None:
@@ -142,31 +142,6 @@ def plan_window(net: Network, old_tours: list[Tour]) -> WindowPlan:
     delta = max_degree(cg)
     coloring = greedy_color(cg)
     return WindowPlan(l_prime, delta, coloring)
-
-
-def _co_resident(state: NodeState, held: QueuedTour, tid: int,
-                 color: int) -> GuaranteeError:
-    return GuaranteeError(
-        f"node {state.name}: tours {held.tour.id} and {tid} both "
-        f"resident with color {color}; per-color residency invariant violated")
-
-
-def _resident_by_color(plan: WindowPlan, state: NodeState) -> dict[int, QueuedTour]:
-    """The node's resident old tours by plan color, from one queue scan.
-
-    Raises GuaranteeError when two resident tours share a color: same-colored
-    tours never conflict, so no node can hold two of them.
-    """
-    assignment = plan.coloring.assignment
-    by_color: dict[int, QueuedTour] = {}
-    for tid, qt in state.queue.items():
-        c = assignment.get(tid)
-        if c is None:
-            continue
-        if c in by_color:
-            raise _co_resident(state, by_color[c], tid, c)
-        by_color[c] = qt
-    return by_color
 
 
 @dataclass
@@ -239,9 +214,9 @@ class OldGoFirst(RoutingAlgorithm):
         as its initial rumor set; drop last window's knowledge.  Under oracle
         gossip the rumor set is the window's shared union, which every node
         extends with its own snapshot."""
-        rumors = {tid: (qt.tour, qt.progress)
-                  for tid, qt in state.queue.items()
-                  if qt.tour.injection_round < window_start}
+        rumors = {tid: (f, f.path.index(state.name))
+                  for tid, f in state.queue.items()
+                  if f.injection_round < window_start}
         if self.gossip.mode == "oracle":
             index, union, _ = self._window
             if index != window_index:
@@ -253,30 +228,30 @@ class OldGoFirst(RoutingAlgorithm):
         state.memory["plan"] = None
 
     def _resident(self, state: NodeState,
-                  window_index: int) -> tuple[WindowPlan, dict[int, QueuedTour]]:
-        """The window's plan and the node's resident old tours by color:
-        one queue scan when the node installs the plan, then each moved
-        tour settled against the queue."""
+                  window_index: int) -> tuple[WindowPlan, dict[int, Tour]]:
+        """The window's plan and the node's resident old tours by color, with
+        each moved tour settled against the queue; at plan install every
+        queued tour counts as moved, which makes this the one queue scan."""
         memory = state.memory
         if memory.get("plan") is None:
-            plan = self._ensure_plan(state, window_index)
-            memory["moved"] = []
-            resident = memory["resident"] = _resident_by_color(plan, state)
-            return plan, resident
+            self._ensure_plan(state, window_index)
+            memory["resident"], memory["moved"] = {}, list(state.queue)
         plan, resident, moved = memory["plan"], memory["resident"], memory["moved"]
         assignment = plan.coloring.assignment
         for tid in moved:
             c = assignment.get(tid)
             if c is None:
                 continue
-            qt, held = state.queue.get(tid), resident.get(c)
-            if qt is None:
-                if held is not None and held.tour.id == tid:
+            f, held = state.queue.get(tid), resident.get(c)
+            if f is None:
+                if held is not None and held.id == tid:
                     del resident[c]  # sent, and heard by its next hop
             elif held is None:
-                resident[c] = qt  # arrived
-            elif held.tour.id != tid:
-                raise _co_resident(state, held, tid, c)
+                resident[c] = f  # arrived
+            elif held.id != tid:
+                raise GuaranteeError(
+                    f"node {state.name}: tours {held.id} and {tid} both resident "
+                    f"with color {c}; per-color residency invariant violated")
         moved.clear()
         return plan, resident
 
@@ -326,13 +301,13 @@ class OldGoFirst(RoutingAlgorithm):
             # that color sends it; offset < w, so a truncated phase 2 ends at
             # the window boundary
             o = offset - self.s_n
-            qt = (resident.get(o % (plan.delta + 1) + 1)
-                  if o < plan.phase2_length else None)
-            if qt is None:
+            f = (resident.get(o % (plan.delta + 1) + 1)
+                 if o < plan.phase2_length else None)
+            if f is None:
                 action = LISTEN
             else:
-                action = Transmit(Message(tour=qt.tour, progress=qt.progress))
-                state.memory["moved"].append(qt.tour.id)
+                action = Message(tour=f)
+                state.memory["moved"].append(f.id)
             # with no old tour here the node only listens until the window ends
             state.wake = 0 if resident else start + self.w
 
@@ -401,10 +376,10 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
 
     def soundness(round_no: int, sending, outcome) -> None:
         for v, msg in sending.items():
-            f, p = msg.tour, msg.progress
+            f = msg.tour
             if f is None:
                 continue
-            nxt = f.path[p + 1]
+            nxt = f.path[f.path.index(v) + 1]
             out = outcome[nxt]
             if not (isinstance(out, engine.Heard) and out.sender == v
                     and out.message.tour is f):

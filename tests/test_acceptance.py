@@ -18,7 +18,7 @@ import pytest
 
 from radiosim import (LISTEN, AdversaryType, COLLISION, GossipConfig, Heard,
                       InjectionTrace, Message, RoundRobin, SILENCE, Tour,
-                      Transmit, build_conflict_graph, build_network, classify,
+                      build_conflict_graph, build_network, classify,
                       compute_window_bound, exact_chromatic, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_cycle,
                       make_path, make_random_connected, optimal_sls_length,
@@ -241,7 +241,7 @@ def test_c5_hearing_rule_exhaustive():
             nodes = list(net.nodes())
             for tx_bits in range(1 << n):
                 transmitters = {nodes[i] for i in range(n) if tx_bits >> i & 1}
-                actions = {v: Transmit(Message(control=v)) if v in transmitters
+                actions = {v: Message(control=v) if v in transmitters
                            else LISTEN for v in nodes}
                 outcome = step(net, actions)
                 for v in nodes:
@@ -286,8 +286,8 @@ def test_c6_conflict_soundness_sampled():
             for i0 in range(f0.length):
                 for i1 in range(f1.length):
                     actions = {v: LISTEN for v in net.nodes()}
-                    actions[p0[i0]] = Transmit(Message(tour=f0, progress=i0))
-                    actions[p1[i1]] = Transmit(Message(tour=f1, progress=i1))
+                    actions[p0[i0]] = Message(tour=f0)
+                    actions[p1[i1]] = Message(tour=f1)
                     outcome = step(net, actions)
                     for f, i in ((f0, i0), (f1, i1)):
                         out = outcome[f.path[i + 1]]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from radiosim import (Coloring, ColoringError, ConflictGraph, Schedule, Tour,
+from radiosim import (Coloring, ColoringError, ConflictGraph, Tour,
                       TourError, build_conflict_graph, coloring,
                       exact_chromatic, greedy_color, is_proper, make_clique,
                       make_path, max_degree, optimal_sls_length,
@@ -145,16 +145,18 @@ def test_exact_never_exceeds_greedy():
 
 def test_schedule_from_coloring_direct_mapping(ring4, ring4_tours):
     cg = build_conflict_graph(ring4, ring4_tours.values())
-    sched = schedule_from_coloring(greedy_color(cg), cg)
+    col = greedy_color(cg)
+    sched = schedule_from_coloring(col, cg)
+    assert sched is col
     assert sched.assignment == {1: 1, 2: 2, 3: 2, 4: 3}
-    assert sched.length == 3
+    assert sched.num_colors == 3
 
 
 def test_schedule_from_coloring_trivial_cases():
     col = Coloring({1: 1, 2: 1}, 1)
     sched = schedule_from_coloring(col, _graph([1, 2], []))
-    assert sched.assignment == {1: 1, 2: 1} and sched.length == 1
-    assert schedule_from_coloring(Coloring({}, 0), _graph([], [])).length == 0
+    assert sched.assignment == {1: 1, 2: 1} and sched.num_colors == 1
+    assert schedule_from_coloring(Coloring({}, 0), _graph([], [])).num_colors == 0
 
 
 def test_schedule_from_improper_coloring_rejected():
@@ -166,14 +168,14 @@ def test_schedule_from_improper_coloring_rejected():
 def test_verify_schedule_non_conflicting_same_round():
     net = make_path(6)
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6))]
-    sched = Schedule({1: 1, 2: 1}, 1)
+    sched = Coloring({1: 1, 2: 1}, 1)
     assert verify_schedule(net, tours, sched)
 
 
 def test_verify_schedule_shared_tail_fails():
     net = make_clique(3)
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (1, 3))]
-    sched = Schedule({1: 1, 2: 1}, 1)
+    sched = Coloring({1: 1, 2: 1}, 1)
     assert not verify_schedule(net, tours, sched)
 
 
@@ -182,10 +184,10 @@ def test_verify_schedule_neighbor_interference_fails():
     # so node 2 has two transmitting neighbors and hears nothing
     net = make_path(4)
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (3, 4))]
-    sched = Schedule({1: 1, 2: 1}, 1)
+    sched = Coloring({1: 1, 2: 1}, 1)
     assert not verify_schedule(net, tours, sched)
     # in different rounds both are delivered
-    sched2 = Schedule({1: 1, 2: 2}, 2)
+    sched2 = Coloring({1: 1, 2: 2}, 2)
     assert verify_schedule(net, tours, sched2)
 
 
@@ -193,17 +195,17 @@ def test_verify_schedule_errors():
     net = make_path(3)
     with pytest.raises(ColoringError, match="one-link"):
         verify_schedule(net, [Tour(1, 1, (1, 2, 3))],
-                        Schedule({1: 1}, 1))
+                        Coloring({1: 1}, 1))
     with pytest.raises(ColoringError, match="not scheduled"):
         verify_schedule(net, [Tour(1, 1, (1, 2))],
-                        Schedule({}, 0))
+                        Coloring({}, 0))
 
 
 @pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
 def test_sls_entries_reject_malformed_tour(tour, match):
     net = make_path(4)
     with pytest.raises(TourError, match=match):
-        verify_schedule(net, [tour], Schedule({1: 1}, 1))
+        verify_schedule(net, [tour], Coloring({1: 1}, 1))
     with pytest.raises(TourError, match=match):
         optimal_sls_length(net, [tour])
 
@@ -218,7 +220,7 @@ def test_one_round_schedule_matches_hearing_rule_exhaustive_small():
             for k in (1, 2, 3):
                 for group in itertools.combinations(links, k):
                     tours = [Tour(i, 1, link) for i, link in enumerate(group, 1)]
-                    sched = Schedule({f.id: 1 for f in tours}, 1)
+                    sched = Coloring({f.id: 1 for f in tours}, 1)
                     tails = [t for t, _ in group]
                     expected = (len(set(tails)) == k
                                 and all(h not in tails for _, h in group)

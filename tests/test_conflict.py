@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from radiosim import (LISTEN, AdversaryType, ConflictGraph, Heard, Message,
-                      Tour, TourError, Transmit, build_conflict_graph,
+                      Tour, TourError, build_conflict_graph,
                       conflict_node_set, format_tour, gen_unbalanced_clique,
                       make_clique, make_cycle, make_path, max_degree,
                       node_link_conflicts, node_tour_conflicts,
@@ -258,8 +258,8 @@ def _transmit_positions(net, f0, p0, f1, p1):
     """One round: both tours transmit from their current positions; True iff
     both next hops hear the right message."""
     actions = {v: LISTEN for v in net.nodes()}
-    actions[f0.path[p0]] = Transmit(Message(tour=f0, progress=p0))
-    actions[f1.path[p1]] = Transmit(Message(tour=f1, progress=p1))
+    actions[f0.path[p0]] = Message(tour=f0)
+    actions[f1.path[p1]] = Message(tour=f1)
     outcome = step(net, actions)
     for f, p in ((f0, p0), (f1, p1)):
         out = outcome[f.path[p + 1]]

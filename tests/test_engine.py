@@ -6,15 +6,14 @@ import pytest
 
 from radiosim import (COLLISION, LISTEN, SILENCE, EngineError,
                       Heard, InjectionTrace, Message, Metrics, NodeState,
-                      QueuedTour, RoundRobin, RoutingAlgorithm, Tour, TourError,
-                      Transmit, make_clique, make_path, make_random_connected,
-                      run, step)
+                      RoundRobin, RoutingAlgorithm, Tour, TourError,
+                      make_clique, make_path, make_random_connected, run, step)
 from radiosim.engine import Delivery
 from conftest import MALFORMED_TOURS, all_connected_networks, random_simple_path
 
 
 def _tx(payload=None):
-    return Transmit(Message(control=payload))
+    return Message(control=payload)
 
 
 # ---------------------------------------------------------------- step
@@ -118,8 +117,7 @@ class TransmitWhatYouHold(RoutingAlgorithm):
 
     def on_round(self, state: NodeState, round_no: int):
         if state.queue:
-            qt = next(iter(state.queue.values()))
-            return Transmit(Message(tour=qt.tour, progress=qt.progress))
+            return Message(tour=next(iter(state.queue.values())))
         return LISTEN
 
 
@@ -179,8 +177,8 @@ def test_no_teleportation_one_hop_per_round():
 
     class Tracker(TransmitWhatYouHold):
         def on_round(self, state, round_no):
-            for qt in state.queue.values():
-                positions.append((round_no, qt.progress))
+            for f in state.queue.values():
+                positions.append((round_no, f.path.index(state.name)))
             return super().on_round(state, round_no)
 
     run(net, Tracker(), trace, 10)
@@ -195,11 +193,28 @@ def test_transmitting_non_resident_tour_rejected():
     class Cheater(RoutingAlgorithm):
         def on_round(self, state, round_no):
             if state.name == 1:
-                return Transmit(Message(tour=ghost, progress=0))
+                return Message(tour=ghost)
             return LISTEN
 
     with pytest.raises(EngineError, match="not resident"):
         run(net, Cheater(), InjectionTrace((), 0), 3)
+
+
+def test_transmitting_a_different_tour_under_a_queued_id_rejected():
+    """A sent tour must be the queued one, not another tour with its id:
+    on K3, node 1 holds tour 1 to node 2 and sends a tour 1 to node 3."""
+    net = make_clique(3)
+    queued, impostor = Tour(1, 1, (1, 2)), Tour(1, 1, (1, 3))
+
+    class Impostor(RoutingAlgorithm):
+        def on_round(self, state, round_no):
+            if state.queue:
+                return Message(tour=impostor)
+            return LISTEN
+
+    with pytest.raises(EngineError, match="^node 1 round 1: transmitted tour 1 "
+                                          "is not resident here$"):
+        run(net, Impostor(), InjectionTrace((queued,), 1), 3)
 
 
 def test_algorithm_invalid_action_rejected():
@@ -297,10 +312,9 @@ class RandomSleeper(RoutingAlgorithm):
             state.wake = round_no + rng.randint(1, 6)
         roll = rng.random()
         if roll < 0.5 and state.queue:
-            qt = state.queue[rng.choice(sorted(state.queue))]
-            return Transmit(Message(tour=qt.tour, progress=qt.progress))
+            return Message(tour=state.queue[rng.choice(sorted(state.queue))])
         if roll < 0.6:
-            return Transmit(Message(control=state.name))
+            return Message(control=state.name)
         return LISTEN
 
 
@@ -337,38 +351,50 @@ class OddWaker(RandomSleeper):
 def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, int]]:
     """engine.run's contract as a plain loop: wake by injection and by
     hearing, call every node with wake <= r, apply the full `step`, and
-    rescan every queue for the round's metrics.  Also returns each node's
-    largest end-of-round queue."""
+    rescan every queue for the round's metrics.  It keeps each queued
+    tour's path index itself, instead of deriving it from the holder.  Also
+    returns each node's largest end-of-round queue."""
     states = {v: NodeState(v, net.n) for v in net.nodes()}
+    position: dict[int, int] = {}  # tour id -> index of its holder on its path
     metrics = Metrics()
     peaks = dict.fromkeys(states, 0)
     for r in range(1, horizon + 1):
         for f in trace.injections:
             if f.injection_round == r:
-                states[f.source].queue[f.id] = QueuedTour(f, 0)
+                states[f.source].queue[f.id] = f
+                position[f.id] = 0
                 states[f.source].wake = 0
                 metrics.injected_total += 1
         actions = {v: algorithm.on_round(s, r) if s.wake <= r else LISTEN
                    for v, s in states.items()}
+        # each sent tour's index on its path when sent: a broadcast tour may
+        # move before its later hearers are served
+        sent_from = {a.tour.id: position[a.tour.id] for a in actions.values()
+                     if a is not LISTEN and a.tour is not None}
         for v, out in step(net, actions).items():
             if not isinstance(out, Heard):
                 continue
             states[v].wake = 0
             algorithm.on_hear(states[v], out.sender, out.message)
-            f, p = out.message.tour, out.message.progress
-            if f is None or f.path[p + 1] != v:
+            f = out.message.tour
+            if f is None:
+                continue
+            p = sent_from[f.id]
+            assert f.path[p] == out.sender
+            if f.path[p + 1] != v:
                 continue
             del states[out.sender].queue[f.id]
+            position[f.id] = p + 1
             if p + 1 == f.length:
                 latency = r - f.injection_round
                 metrics.deliveries.append(
                     Delivery(f.id, f.injection_round, r, latency, f.length))
             else:
-                states[v].queue[f.id] = QueuedTour(f, p + 1)
-        queued = [qt for s in states.values() for qt in s.queue.values()]
+                states[v].queue[f.id] = f
+        queued = [f for s in states.values() for f in s.queue.values()]
         metrics.backlog.append(len(queued))
         metrics.undelivered_hops.append(
-            sum(qt.tour.length - qt.progress for qt in queued))
+            sum(f.length - position[f.id] for f in queued))
         metrics.max_queue_per_round.append(
             max(len(s.queue) for s in states.values()))
         for v, s in states.items():

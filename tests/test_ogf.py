@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
-                      Message, NodeState, OgfError, QueuedTour, Tour, TourError,
-                      Transmit, WindowOverflowError, build_network,
+                      Message, NodeState, OgfError, Tour, TourError,
+                      WindowOverflowError, build_network,
                       compute_window_bound, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_path,
                       make_random_connected, plan_window, run, run_ogf,
@@ -121,61 +121,71 @@ def test_plan_window_single_long_tour():
     assert plan.coloring.num_colors == 1 and plan.phase2_length == 3
 
 
-def _state_with(net, queued):
-    state = NodeState(name=queued[0][0], n=net.n)
-    for node, tour, progress in queued:
-        state.queue[tour.id] = QueuedTour(tour, progress)
+def _state_with(net, node, tours):
+    """Node `node` holding `tours`, each of which passes through it short of
+    its destination."""
+    state = NodeState(name=node, n=net.n)
+    for f in tours:
+        assert node in f.path[:-1]
+        state.queue[f.id] = f
     return state
+
+
+def _rumors(*placed):
+    """A phase-1 message placing each (tour, path index) pair."""
+    return Message(control=tuple((f.id, (f, p)) for f, p in placed))
 
 
 def _phase2_actions(net, state, heard, offsets):
     """Old-Go-First's actions for `state` at phase-2 offsets of window 2,
     under TDMA gossip and w = S(n) + 8: the node snapshots its queue at the
-    window's start, hears of the old tours `heard` in phase 1, and plans
-    at offset 0."""
+    window's start, hears the rumors `heard` ((tour, path index) pairs) in
+    phase 1, and plans at offset 0."""
     s_n = GossipConfig.tdma().rounds(net.n)
     w = s_n + 8
     alg = ogf.OldGoFirst(net, w, GossipConfig.tdma())
     alg.on_round(state, w + 1)
-    alg.on_hear(state, 0, Message(control=tuple((f.id, (f, 0)) for f in heard)))
+    alg.on_hear(state, 0, _rumors(*heard))
     return [alg.on_round(state, w + 1 + s_n + o) for o in offsets]
 
 
 def test_phase2_action_transmits_matching_color():
     net = make_path(4)
     tour = Tour(5, 1, (2, 3, 4))
-    state = _state_with(net, [(2, tour, 0)])
+    state = _state_with(net, 2, [tour])
     # delta 0: super-rounds are single rounds; color 1 transmits at offset 0
     [action] = _phase2_actions(net, state, [], [0])
-    assert action == Transmit(Message(tour=tour, progress=0))
+    assert action == Message(tour=tour)
 
 
 def test_phase2_action_listens_on_color_mismatch(ring4, ring4_tours):
     f4 = ring4_tours["f4"]  # color 3 under ascending-id greedy
-    state = _state_with(ring4, [(1, f4, 0)])
-    others = [f for f in ring4_tours.values() if f is not f4]
+    state = _state_with(ring4, 1, [f4])
+    others = [(f, 0) for f in ring4_tours.values() if f is not f4]
     actions = _phase2_actions(ring4, state, others, [0, 1, 2])
     assert state.memory["plan"].coloring.assignment[4] == 3
     # color-1 and color-2 rounds, then f4's
-    assert actions == [LISTEN, LISTEN, Transmit(Message(tour=f4, progress=0))]
+    assert actions == [LISTEN, LISTEN, Message(tour=f4)]
 
 
 def test_phase2_action_ignores_unplanned_tours():
     net = make_path(4)
     old = Tour(1, 1, (1, 2))
     new = Tour(2, 25, (3, 4))  # injected after window 2 starts
-    state = _state_with(net, [(3, new, 0)])
-    assert _phase2_actions(net, state, [old], [0]) == [LISTEN]
+    state = _state_with(net, 3, [new])
+    assert _phase2_actions(net, state, [(old, 0)], [0]) == [LISTEN]
     assert state.memory["plan"].coloring.assignment == {1: 1}
 
 
 def test_phase2_action_detects_same_color_co_residency():
     net = make_path(6)
-    # two far-apart tours do not conflict, so they share color 1
-    t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6))
-    state = _state_with(net, [(1, t1, 0), (1, t2, 0)])  # cannot co-reside legally
+    # node 1 holds both tours, but a rumor places tour 2 at node 5: its
+    # remaining link 5->6 is far from 1->2, so the two share color 1, and
+    # no node can legally hold two tours of one color
+    t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (1, 2, 3, 4, 5, 6))
+    state = _state_with(net, 1, [t1, t2])
     with pytest.raises(ogf.GuaranteeError, match="residency"):
-        _phase2_actions(net, state, [], [0])
+        _phase2_actions(net, state, [(t2, 4)], [0])
     assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1}
 
 
@@ -185,33 +195,37 @@ def test_on_round_checks_residency_in_every_plan_round(round_no):
     # window 2 starts at round 41; tdma phase 1 takes 30 rounds, then the
     # colors 1..4 get rounds 71..74 and rounds 75..80 listen
     net = make_path(6)
-    tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6)),
-             Tour(3, 1, (2, 3)), Tour(4, 1, (3, 4))]
-    # tours 1 and 2 share color 1, so they cannot co-reside legally
-    state = _state_with(net, [(1, f, 0) for f in tours])
+    t1, t2, t3, t4 = (Tour(1, 1, (1, 2)), Tour(2, 1, (1, 2, 3, 4, 5, 6)),
+                      Tour(3, 1, (1, 2, 3)), Tour(4, 1, (1, 2, 3, 4)))
+    # node 1 holds all four, but rumors place the remaining paths of tours
+    # 2, 3 and 4 at 5->6, 2->3 and 3->4; tours 1 and 2 then share color 1,
+    # so they cannot co-reside legally
+    state = _state_with(net, 1, [t1, t2, t3, t4])
     alg = ogf.OldGoFirst(net, 40, GossipConfig.tdma())
     alg.on_round(state, 41)
+    alg.on_hear(state, 2, _rumors((t2, 4), (t3, 1), (t4, 2)))
     with pytest.raises(ogf.GuaranteeError, match="resident"):
         alg.on_round(state, round_no)
     assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1, 3: 2, 4: 3}
 
 
 def test_arrival_sharing_a_resident_color_raises_at_next_round():
-    # the same plan as above, but node 1 starts with tours 1, 3 and 4 and
-    # learns of tour 2 by gossip; tour 2 then arrives at node 1, which
-    # cannot happen legally, after the plan round
-    net = make_path(6)
-    t1, t2, t3, t4 = (Tour(1, 1, (1, 2)), Tour(2, 1, (5, 6)),
-                      Tour(3, 1, (2, 3)), Tour(4, 1, (3, 4)))
-    state = _state_with(net, [(1, t1, 0), (1, t3, 0), (1, t4, 0)])
+    # on the path 6-1-2-3-4-5, node 1 holds tour 1 and learns by gossip that
+    # tour 2 sits at node 4, with 4->5 left, far from 1->2: both get color
+    # 1.  Tour 2's path runs through node 1, and it then arrives there,
+    # which cannot happen legally, after the plan round.  Window 2 starts
+    # at round 41; tdma phase 1 takes 30 rounds, and color 1 sends in 71
+    net = build_network(6, [(6, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (6, 1, 2, 3, 4, 5))
+    state = _state_with(net, 1, [t1])
     alg = ogf.OldGoFirst(net, 40, GossipConfig.tdma())
     alg.on_round(state, 41)
-    alg.on_hear(state, 5, Message(control=((2, (t2, 0)),)))
-    assert alg.on_round(state, 71) == Transmit(Message(tour=t1, progress=0))
-    assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1, 3: 2, 4: 3}
+    alg.on_hear(state, 2, _rumors((t2, 4)))
+    assert alg.on_round(state, 71) == Message(tour=t1)
+    assert state.memory["plan"].coloring.assignment == {1: 1, 2: 1}
     # the engine passes the message to on_hear, then queues the tour
-    alg.on_hear(state, 5, Message(tour=t2, progress=0))
-    state.queue[2] = QueuedTour(t2, 1)
+    alg.on_hear(state, 6, Message(tour=t2))
+    state.queue[2] = t2
     with pytest.raises(ogf.GuaranteeError, match=(
             "^node 1: tours 1 and 2 both resident with color 1; "
             "per-color residency invariant violated$")):
@@ -223,13 +237,13 @@ def test_node_whose_last_old_tour_left_sleeps_to_window_end():
     # colors 1..2 get rounds 33..34
     net = make_path(4)
     t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (1, 2, 3))
-    state = _state_with(net, [(1, t1, 0), (1, t2, 0)])
+    state = _state_with(net, 1, [t1, t2])
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     alg.on_round(state, 21)
-    assert alg.on_round(state, 33) == Transmit(Message(tour=t1, progress=0))
+    assert alg.on_round(state, 33) == Message(tour=t1)
     del state.queue[1]  # heard by its next hop
     assert state.wake == 0
-    assert alg.on_round(state, 34) == Transmit(Message(tour=t2, progress=0))
+    assert alg.on_round(state, 34) == Message(tour=t2)
     assert state.wake == 0
     del state.queue[2]
     assert alg.on_round(state, 35) is LISTEN
@@ -246,9 +260,9 @@ def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():
     alg = ogf.OldGoFirst(net, w, GossipConfig.tdma(), queue_bound=math.floor(bound))
     state = NodeState(name=1, n=4)
     for tid in range(1, math.floor(bound) + 1):
-        state.queue[tid] = QueuedTour(Tour(tid, 1, (1, 2)), 0)
+        state.queue[tid] = Tour(tid, 1, (1, 2))
     alg.on_round(state, 1)
-    state.queue[0] = QueuedTour(Tour(0, 1, (1, 2)), 0)
+    state.queue[0] = Tour(0, 1, (1, 2))
     with pytest.raises(ogf.GuaranteeError, match="exceeds bound"):
         alg.on_round(state, 2)
 
@@ -449,7 +463,7 @@ def test_nodes_with_different_rumors_plan_from_their_own():
     net = make_path(4)
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     t1, t2 = Tour(1, 1, (1, 2, 3)), Tour(2, 1, (3, 4))
-    states = [_state_with(net, [(1, t1, 0)]), _state_with(net, [(3, t2, 0)])]
+    states = [_state_with(net, 1, [t1]), _state_with(net, 3, [t2])]
     _planned_alone(alg, states)
     assert states[0].memory["plan"] == plan_window(net, [t1])
     assert states[1].memory["plan"] == plan_window(net, [t2])
@@ -459,7 +473,7 @@ def test_nodes_with_different_rumors_plan_from_their_own():
 def test_node_planning_alone_logs_its_window():
     net = make_path(4)
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
-    _planned_alone(alg, [_state_with(net, [(2, Tour(1, 1, (2, 3, 4)), 0)])])
+    _planned_alone(alg, [_state_with(net, 2, [Tour(1, 1, (2, 3, 4))])])
     assert alg.window_log == [ogf.WindowStats(2, 1, 2, 0, 2, False)]
 
 

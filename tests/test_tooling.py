@@ -1,12 +1,14 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
 are validated only where they enter the library, the callers of the
 hearing rule are pinned, the package's public names, every defaulted
-parameter and Old-Go-First's instance attributes are pinned, and the
-benchmark's tracer finds every function it wraps."""
+parameter, Old-Go-First's instance attributes and the fields of `Message`
+and `NodeState` are pinned, and the benchmark's tracer finds every
+function it wraps."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -17,8 +19,8 @@ from pathlib import Path
 import pytest
 
 import radiosim
-from radiosim import (GossipConfig, InjectionTrace, OldGoFirst, Tour,
-                      make_path, run)
+from radiosim import (GossipConfig, InjectionTrace, Message, NodeState,
+                      OldGoFirst, Tour, make_path, run)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -97,7 +99,7 @@ PUBLIC_NAMES = {
     "gen_unbalanced_clique", "node_load", "parse_trace", "verify_admissible",
     "verify_admissible_all_intervals",
     # coloring
-    "Coloring", "ColoringError", "Schedule", "exact_chromatic", "greedy_color",
+    "Coloring", "ColoringError", "exact_chromatic", "greedy_color",
     "is_proper", "optimal_sls_length", "schedule_from_coloring",
     "verify_schedule",
     # conflict
@@ -106,8 +108,7 @@ PUBLIC_NAMES = {
     "node_tour_conflicts", "parse_tour_line", "tours_conflict", "validate_tour",
     # engine
     "COLLISION", "LISTEN", "SILENCE", "EngineError", "Heard", "Message",
-    "Metrics", "NodeState", "QueuedTour", "RoundRobin", "RoutingAlgorithm",
-    "Transmit", "run", "step",
+    "Metrics", "NodeState", "RoundRobin", "RoutingAlgorithm", "run", "step",
     # network
     "Network", "NetworkError", "build_network", "format_network", "make_clique",
     "make_cycle", "make_path", "make_random_connected", "parse_network",
@@ -163,6 +164,17 @@ def test_old_go_first_attributes_are_pinned():
     assert alg.window_log
     found = set(vars(alg).keys())
     assert found == OGF_ATTRIBUTES, sorted(found ^ OGF_ATTRIBUTES)
+
+
+# what a node sends and what it holds; a field that repeats another fact,
+# such as a tour's position, which the holder already fixes, shows here
+MESSAGE_FIELDS = ("tour", "control")
+NODE_STATE_FIELDS = ("name", "n", "queue", "memory", "wake")
+
+
+def test_message_and_node_state_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(Message)) == MESSAGE_FIELDS
+    assert tuple(f.name for f in dataclasses.fields(NodeState)) == NODE_STATE_FIELDS
 
 
 def test_tracer_targets_exist():
