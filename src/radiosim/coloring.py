@@ -132,22 +132,16 @@ def schedule_from_coloring(coloring: Coloring, cg: ConflictGraph) -> Coloring:
     return coloring
 
 
-def _round_delivers(net: Network, listen: dict[int, engine.Action],
+def _round_delivers(net: Network, actions: dict[int, engine.Action],
                     group: Sequence[engine.Message]) -> bool:
-    """Simulate one round in which every tour of the group transmits from its
-    tail while everyone else listens; True iff every head hears its tail.
+    """Simulate one round of `actions`, the action map of `net` in which each
+    tour of the group transmits from its tail (its `Message(tour=f)`) and
+    every other node listens; True iff every head hears its tail.
 
-    The caller prebuilds, once per instance, `listen`, the all-LISTEN action
-    map of `net`, and the group's actions, each tour's `Message(tour=f)`; a
-    round copies the map and sets the tails.  Two tours sharing a tail
-    cannot both transmit, so such a group fails without a round.
+    The caller keeps the map: it sets a tail when a tour joins the group and
+    resets it to LISTEN when the tour leaves.  Two tours sharing a tail
+    cannot both transmit, so the caller fails such a group without a round.
     """
-    actions = listen.copy()
-    for a in group:
-        tail = a.tour.path[0]
-        if actions[tail] is not engine.LISTEN:
-            return False
-        actions[tail] = a
     outcome = engine.step(net, actions)
     for a in group:
         f = a.tour
@@ -160,8 +154,9 @@ def _round_delivers(net: Network, listen: dict[int, engine.Action],
 
 
 def _round_inputs(net: Network, tours: list[Tour]) -> tuple[dict, list[engine.Message]]:
-    """What `_round_delivers` takes: the all-LISTEN action map of `net`, and
-    each tour's transmission from its tail, in the order of `tours`."""
+    """What the action maps of `_round_delivers` start from: the all-LISTEN
+    action map of `net`, and each tour's transmission from its tail, in the
+    order of `tours`."""
     return (dict.fromkeys(net.nodes(), engine.LISTEN),
             [engine.Message(tour=f) for f in tours])
 
@@ -188,7 +183,16 @@ def verify_schedule(net: Network, tours: Iterable[Tour], sched: Coloring) -> boo
     rounds: dict[int, list[engine.Message]] = {}
     for f, a in zip(tour_list, sends):
         rounds.setdefault(sched.assignment[f.id], []).append(a)
-    return all(_round_delivers(net, listen, group) for group in rounds.values())
+    for group in rounds.values():
+        actions = listen.copy()
+        for a in group:
+            tail = a.tour.path[0]
+            if actions[tail] is not engine.LISTEN:
+                return False  # two tours of the round share a tail
+            actions[tail] = a
+        if not _round_delivers(net, actions, group):
+            return False
+    return True
 
 
 def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
@@ -198,7 +202,8 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     Independent of the conflict predicates: feasibility of each round's
     group is decided purely by simulating the hearing rule.  Groups that
     fail stay failed when more transmitters are added, so the search can
-    prune on partial assignments.
+    prune on partial assignments.  Each group keeps its own action map, in
+    which a tour sets its tail when it joins and resets it when it leaves.
     """
     tour_list = one_link_tours(net, tours)
     if len(tour_list) > BRUTE_FORCE_CAP:
@@ -211,17 +216,24 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
 
     def feasible(t_rounds: int) -> bool:
         groups: list[list[engine.Message]] = [[] for _ in range(t_rounds)]
+        maps = [listen.copy() for _ in range(t_rounds)]
 
         def place(i: int, used: int) -> bool:
             if i == len(sends):
                 return True
             a = sends[i]
+            tail = a.tour.path[0]
             for g in range(min(used + 1, t_rounds)):
+                actions = maps[g]
+                if actions[tail] is not engine.LISTEN:
+                    continue  # a shared tail fails without a round
+                actions[tail] = a
                 groups[g].append(a)
-                if (_round_delivers(net, listen, groups[g])
+                if (_round_delivers(net, actions, groups[g])
                         and place(i + 1, max(used, g + 1))):
                     return True
                 groups[g].pop()
+                actions[tail] = engine.LISTEN
             return False
 
         return place(0, 0)

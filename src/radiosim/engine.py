@@ -108,7 +108,9 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     listens and two or more neighbors transmit; otherwise silence (a
     transmitter always gets silence).  Each transmitter registers with its
     neighbors, and a listener's outcome comes from the transmitters
-    registered with it, so no listener scans its own neighbors.
+    registered with it, so no listener scans its own neighbors.  All
+    hearers of one transmitter share one frozen `Heard`, built when the
+    first of them is served.
 
     Cost: one C-level comparison of the action map's keys with the node
     set, one C-level fill of the all-silence outcome, one Python-level pass
@@ -131,10 +133,17 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
             senders[u] = None if u in senders else v
 
     outcome: RoundOutcome = dict.fromkeys(adj, SILENCE)
+    heard: dict[int, Heard] = {}  # transmitter -> what its hearers get
     for v, sender in senders.items():
-        if actions[v] is LISTEN:
-            outcome[v] = (COLLISION if sender is None
-                          else Heard(sender, actions[sender]))
+        if actions[v] is not LISTEN:
+            continue
+        if sender is None:
+            outcome[v] = COLLISION
+            continue
+        h = heard.get(sender)
+        if h is None:
+            h = heard[sender] = Heard(sender, actions[sender])
+        outcome[v] = h
     return outcome
 
 
@@ -254,7 +263,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         sources;
     (2) call `on_round` for each awake node (`r >= state.wake`) in node
         order; a sleeping node listens.  A sent tour must be the `Tour`
-        object queued at the sender under its id;
+        object queued at the sender under its id, and its path must pass
+        through the sender short of its end;
     (3) apply the hearing rule to the round's actions (`step`);
     (4) for each node that heard a message, in node order: wake it, pass
         the message to `on_hear`, and if the node follows the sender on a
@@ -313,6 +323,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                 awake.add(v)
 
         sending: dict[int, Message] = {}
+        next_hop: dict[int, int] = {}  # sender of a tour -> its next hop
         soon = r + 1
         order = sorted(awake)
         awake = set(order)  # a set keeps its table size after discards
@@ -328,10 +339,18 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                 continue
             if isinstance(a, Message):
                 sending[v] = a
-                if a.tour is not None and state.queue.get(a.tour.id) is not a.tour:
-                    raise EngineError(
-                        f"node {v} round {r}: transmitted tour "
-                        f"{a.tour.id} is not resident here")
+                f = a.tour
+                if f is not None:
+                    if state.queue.get(f.id) is not f:
+                        raise EngineError(
+                            f"node {v} round {r}: transmitted tour "
+                            f"{f.id} is not resident here")
+                    path = f.path
+                    if v not in path or v == path[-1]:
+                        raise EngineError(
+                            f"node {v} round {r}: transmitted tour {f.id} "
+                            f"does not pass through it short of its end")
+                    next_hop[v] = path[path.index(v) + 1]
             actions[v] = a
 
         outcome = step(net, actions)
@@ -363,12 +382,11 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             f = out.message.tour
             if f is None:
                 continue
-            p = f.path.index(out.sender)
-            if f.path[p + 1] == v:
+            if next_hop[out.sender] == v:
                 del states[out.sender].queue[f.id]
                 touched.append(out.sender)
                 hops -= 1
-                if p + 1 == len(f.path) - 1:
+                if v == f.path[-1]:
                     latency = r - f.injection_round
                     if latency < f.length - 1:
                         raise EngineError(

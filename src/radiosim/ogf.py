@@ -46,7 +46,8 @@ class GossipConfig:
     """How phase 1 collects old tours.
 
     tdma: node ((r-1) mod n)+1 transmits its whole rumor set in phase-round
-    r; n-1 sweeps of n rounds, so S(n) = n*(n-1).  oracle: knowledge is
+    r, as a snapshot dict that its hearers only read; n-1 sweeps of n
+    rounds, so S(n) = n*(n-1).  oracle: knowledge is
     shared instantaneously at phase start while a configurable S(n) rounds
     still elapse (a measurement mode for studying other gossip costs).  The
     oracle's knowledge is the union of every node's own window-start
@@ -92,14 +93,18 @@ def compute_window_bound(adv: AdversaryType, s_n: int) -> int:
 
 def gossip_action(state: NodeState, offset: int) -> Action:
     """Phase-1 action: offset o (0-based) belongs to node (o mod n) + 1,
-    which sends its rumor items."""
+    which sends a snapshot (a copy) of its rumor dict, so later changes to
+    its own dict do not reach the payload."""
     if state.name != offset % state.n + 1:
         return LISTEN
-    return Message(control=tuple(state.memory["rumors"].items()))
+    return Message(control=dict(state.memory["rumors"]))
 
 
 def merge_gossip(state: NodeState, message: Message) -> None:
-    """Merge the rumor items of a heard phase-1 message into the node's own."""
+    """Merge the rumors of a heard phase-1 message into the node's own.  The
+    payload is only read, since every hearer of a transmission gets the same
+    one; a snapshot dict merges dict to dict, and any iterable of
+    (tour id, rumor) pairs is accepted too."""
     state.memory["rumors"].update(message.control)
 
 
@@ -259,7 +264,9 @@ class OldGoFirst(RoutingAlgorithm):
         rumors = state.memory.get("rumors", {})
         index, planned_from, plan = self._window
         if plan is None or index != window_index or rumors != planned_from:
-            remaining = [Tour(tid, tour.injection_round, tour.path[progress:])
+            # a tour that has not moved is its own remaining tour
+            remaining = [tour if not progress else
+                         Tour(tid, tour.injection_round, tour.path[progress:])
                          for tid, (tour, progress) in sorted(rumors.items())]
             plan = plan_window(self.net, remaining)
             fits = self.s_n + plan.phase2_length <= self.w

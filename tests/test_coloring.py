@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from radiosim import (Coloring, ColoringError, ConflictGraph, Tour,
+from radiosim import (LISTEN, Coloring, ColoringError, ConflictGraph, Tour,
                       TourError, build_conflict_graph, coloring,
                       exact_chromatic, greedy_color, is_proper, make_clique,
                       make_path, max_degree, optimal_sls_length,
@@ -177,6 +177,33 @@ def test_verify_schedule_shared_tail_fails():
     tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (1, 3))]
     sched = Coloring({1: 1, 2: 1}, 1)
     assert not verify_schedule(net, tours, sched)
+
+
+@pytest.mark.parametrize("assignment, rounds", [
+    # the round of color 1 delivers, then color 2's shared tail 3 fails it
+    ({1: 1, 2: 1, 3: 2, 4: 2, 5: 3}, [[1, 4]]),
+    # color 1, the first round, holds tours 1, 3 and 4, and 3 and 4 share
+    # tail 3: the schedule fails without a round
+    ({1: 1, 2: 2, 3: 1, 4: 1, 5: 3}, []),
+])
+def test_verify_schedule_shared_tail_fails_without_its_round(
+        monkeypatch, assignment, rounds):
+    """Rounds are simulated in order of their colors' first tours; the round
+    that holds two tours of one tail is not simulated, and the search stops
+    there.  The recorded rounds list each simulated round's transmitters."""
+    net = make_path(5)
+    tours = [Tour(1, 1, (1, 2)), Tour(2, 1, (4, 5)), Tour(3, 1, (3, 2)),
+             Tour(4, 1, (3, 4)), Tour(5, 1, (2, 1))]
+    seen = []
+    step = coloring.engine.step
+
+    def recording_step(net, actions):
+        seen.append([v for v, a in actions.items() if a is not LISTEN])
+        return step(net, actions)
+
+    monkeypatch.setattr(coloring.engine, "step", recording_step)
+    assert not verify_schedule(net, tours, Coloring(assignment, 3))
+    assert seen == rounds
 
 
 def test_verify_schedule_neighbor_interference_fails():

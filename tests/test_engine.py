@@ -49,6 +49,25 @@ def test_non_neighbor_transmitter_does_not_interfere():
     assert outcome[3] == Heard(4, Message(control="b"))
 
 
+def test_hearers_of_one_transmitter_share_one_heard():
+    net = make_clique(4)
+    msg = _tx("m")
+    outcome = step(net, {1: msg, 2: LISTEN, 3: LISTEN, 4: LISTEN})
+    heard = outcome[2]
+    assert heard == Heard(1, msg) and heard.message is msg
+    assert outcome[3] is heard and outcome[4] is heard
+
+
+def test_transmitters_with_disjoint_hearers_give_two_heards():
+    # path 1-..-6: node 2 is heard by 1 and 3, node 5 by 4 and 6
+    net = make_path(6)
+    a, b = _tx("a"), _tx("b")
+    outcome = step(net, {1: LISTEN, 2: a, 3: LISTEN, 4: LISTEN, 5: b, 6: LISTEN})
+    assert outcome[1] is outcome[3] and outcome[1] == Heard(2, a)
+    assert outcome[4] is outcome[6] and outcome[4] == Heard(5, b)
+    assert outcome[1] is not outcome[4]
+
+
 def test_missing_action_rejected():
     net = make_path(2)
     with pytest.raises(EngineError, match="no action"):
@@ -215,6 +234,49 @@ def test_transmitting_a_different_tour_under_a_queued_id_rejected():
     with pytest.raises(EngineError, match="^node 1 round 1: transmitted tour 1 "
                                           "is not resident here$"):
         run(net, Impostor(), InjectionTrace((queued,), 1), 3)
+
+
+def test_observer_and_on_hear_see_the_shared_heard():
+    net = make_clique(4)
+    msg = _tx("m")
+    heard, outcomes = [], []
+
+    class Announce(RoutingAlgorithm):
+        def on_round(self, state, round_no):
+            return msg if state.name == 1 else LISTEN
+
+        def on_hear(self, state, sender, message):
+            heard.append((state.name, sender, message))
+
+    run(net, Announce(), InjectionTrace((), 0), 1,
+        observer=lambda r, sending, outcome: outcomes.append((sending, outcome)))
+    [(sending, outcome)] = outcomes
+    assert sending == {1: msg}
+    assert outcome[2] == Heard(1, msg)
+    assert outcome[3] is outcome[2] and outcome[4] is outcome[2]
+    assert heard == [(2, 1, msg), (3, 1, msg), (4, 1, msg)]
+    assert all(message is msg for _, _, message in heard)
+
+
+@pytest.mark.parametrize("tour", [Tour(9, 1, (2, 3)), Tour(9, 1, (2, 1))],
+                         ids=["off-path", "at-its-end"])
+def test_sending_a_tour_that_does_not_pass_through_the_sender_rejected(tour):
+    """On K3, node 1 queues a tour whose path does not pass through it short
+    of its end and sends it in the same round: the engine raises its own
+    error, not the path lookup's ValueError or IndexError."""
+    net = make_clique(3)
+
+    class OffPath(RoutingAlgorithm):
+        def on_round(self, state, round_no):
+            if state.name != 1:
+                return LISTEN
+            state.queue[tour.id] = tour
+            return Message(tour=tour)
+
+    with pytest.raises(EngineError, match="^node 1 round 1: transmitted tour 9 "
+                                          "does not pass through it short of "
+                                          "its end$"):
+        run(net, OffPath(), InjectionTrace((), 0), 3)
 
 
 def test_algorithm_invalid_action_rejected():

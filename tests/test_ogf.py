@@ -90,6 +90,27 @@ def test_gossip_complete_on_every_small_connected_network():
             assert all(knowledge[v].keys() == set(net.nodes()) for v in net.nodes())
 
 
+def test_gossip_payload_is_a_snapshot_that_hearers_only_read():
+    t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (1, 3))
+    sender = NodeState(1, 3, memory={"rumors": {1: (t1, 0)}})
+    message = ogf.gossip_action(sender, 0)
+    sender.memory["rumors"][2] = (t2, 0)
+    assert message.control == {1: (t1, 0)}
+    hearers = [NodeState(v, 3, memory={"rumors": {}}) for v in (2, 3)]
+    for state in hearers:
+        ogf.merge_gossip(state, message)
+    hearers[0].memory["rumors"][2] = (t2, 0)
+    assert message.control == {1: (t1, 0)}
+    assert hearers[1].memory["rumors"] == {1: (t1, 0)}
+
+
+def test_merge_gossip_accepts_pair_payloads():
+    t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (3, 2))
+    state = NodeState(2, 3, memory={"rumors": {1: (t1, 0)}})
+    ogf.merge_gossip(state, _rumors((t2, 0)))
+    assert state.memory["rumors"] == {1: (t1, 0), 2: (t2, 0)}
+
+
 def test_gossip_config_validation():
     with pytest.raises(OgfError, match="S_n"):
         GossipConfig.oracle(0)

@@ -1,8 +1,8 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
 are validated only where they enter the library, the callers of the
 hearing rule are pinned, the package's public names, every defaulted
-parameter, Old-Go-First's instance attributes and the fields of `Message`
-and `NodeState` are pinned, and the benchmark's tracer finds every
+parameter, Old-Go-First's instance attributes and the fields of `Message`,
+`Heard` and `NodeState` are pinned, and the benchmark's tracer finds every
 function it wraps."""
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import radiosim
-from radiosim import (GossipConfig, InjectionTrace, Message, NodeState,
+from radiosim import (GossipConfig, Heard, InjectionTrace, Message, NodeState,
                       OldGoFirst, Tour, make_path, run)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,12 +169,18 @@ def test_old_go_first_attributes_are_pinned():
 # what a node sends and what it holds; a field that repeats another fact,
 # such as a tour's position, which the holder already fixes, shows here
 MESSAGE_FIELDS = ("tour", "control")
+# what a hearer gets; all hearers of one transmitter share one `Heard`
+HEARD_FIELDS = ("sender", "message")
 NODE_STATE_FIELDS = ("name", "n", "queue", "memory", "wake")
 
 
 def test_message_and_node_state_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(Message)) == MESSAGE_FIELDS
     assert tuple(f.name for f in dataclasses.fields(NodeState)) == NODE_STATE_FIELDS
+
+
+def test_heard_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(Heard)) == HEARD_FIELDS
 
 
 def test_tracer_targets_exist():
