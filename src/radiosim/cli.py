@@ -175,10 +175,10 @@ def cmd_sls(args) -> int:
         return EXIT_OK
 
     cg = conflict.build_conflict_graph(net, tours)
+    mu = coloring.exact_chromatic(cg)  # raises before any output on a capped size
+    t_opt = coloring.optimal_sls_length(net, tours)
     print(f"conflict graph: {len(cg.vertices)} tours, edges "
           f"{sorted(cg.edges) if cg.edges else '{}'}")
-    mu = coloring.exact_chromatic(cg)
-    t_opt = coloring.optimal_sls_length(net, tours)
     sched = coloring.schedule_from_coloring(coloring.greedy_color(cg), cg)
     sched_lines = "\n".join(f"tour {tid} round {r}"
                             for tid, r in sorted(sched.assignment.items()))

@@ -48,17 +48,23 @@ class Message:
     control: object = None
 
 
-class _Listen:
-    __slots__ = ()
+class _Token:
+    """A bare action or outcome: LISTEN, SILENCE or COLLISION."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "LISTEN"
+        return self.name
 
 
-LISTEN = _Listen()
+LISTEN = _Token("LISTEN")
+SILENCE = _Token("SILENCE")
+COLLISION = _Token("COLLISION")
 
-
-Action = _Listen | Message
+Action = _Token | Message
 
 
 @dataclass(frozen=True)
@@ -67,24 +73,7 @@ class Heard:
     message: Message
 
 
-class _Silence:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "SILENCE"
-
-
-class _Collision:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "COLLISION"
-
-
-SILENCE = _Silence()
-COLLISION = _Collision()
-
-Outcome = Heard | _Silence | _Collision
+Outcome = Heard | _Token
 RoundOutcome = dict[int, Outcome]
 
 
@@ -270,19 +259,22 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         the message to `on_hear`, and if the node follows the sender on a
         heard tour's path, move the tour one hop and record its delivery
         at its destination;
-    (5) append the round's backlog, undelivered hops and largest queue,
-        and check conservation.
-    Outside `step`, a round's Python-level work is proportional to its
-    events: the awake nodes' callbacks, the transmitters' neighborhoods and
-    the heard messages.  A node goes into the bucket of its `wake` round as
-    soon as a callback sets `wake` past the next round, and is called again
-    when the bucket comes due (an entry whose `wake` has changed since is
-    stale and skipped) or when it is woken.  The backlog and a count of
-    nodes per queue size are kept running, from the queue length of every
-    node that a callback or the engine touched, so a callback that changes
-    its own queue still breaks conservation.  Only `step`, from whose calls
-    the benchmark's tracer counts node-rounds and radio events, costs O(n)
-    in every round.  Fully deterministic.
+    (5) settle the round, then append its backlog, undelivered hops and
+        largest queue, and check conservation.
+    Callbacks only act; the engine settles each round once, after the last
+    hearer is served.  Only the nodes of steps (2) and (4) can have changed
+    `wake` or a queue, since the awake nodes include every injected source
+    and every sender.  Each of them whose final `wake` lies past the next
+    round leaves the awake set for the bucket of its `wake` round, and any
+    other stays awake; then its queue length updates the running backlog
+    and count of nodes per queue size, so a callback that changes its own
+    queue still breaks conservation.  A bucket entry counts only if the
+    node's `wake` still equals that round when it comes due.  Outside
+    `step`, a round's Python-level work is proportional to its events: the
+    awake nodes' callbacks, the transmitters' neighborhoods and the heard
+    messages.  Only `step`, from whose calls the benchmark's tracer counts
+    node-rounds and radio events, costs O(n) in every round.  Fully
+    deterministic.
 
     `observer(round, sending, outcome)` is called after step (3) with the
     message of each transmitting node and every node's outcome; tests and
@@ -309,13 +301,11 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     due: dict[int, list[int]] = {}  # round -> nodes that set `wake` to it
 
     for r in range(1, horizon + 1):
-        touched: list[int] = []  # nodes whose queue length may have changed
         for tour in by_round.get(r, ()):
             state = states[tour.source]
             state.queue[tour.id] = tour
             state.wake = 0
             awake.add(tour.source)
-            touched.append(tour.source)
             metrics.injected_total += 1
             hops += tour.length
         for v in due.pop(r, ()):
@@ -329,12 +319,6 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         awake = set(order)  # a set keeps its table size after discards
         for v, state in zip(order, map(states.__getitem__, order)):
             a = algorithm.on_round(state, r)
-            if state.wake > soon:
-                awake.discard(v)
-                if state.wake <= horizon:  # else only a wake-up brings it back
-                    due.setdefault(state.wake, []).append(v)
-            if len(state.queue) != size[v]:
-                touched.append(v)
             if a is LISTEN:
                 continue
             if isinstance(a, Message):
@@ -364,27 +348,20 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             hearers = sorted(set().union(*map(neighbors.__getitem__, sending)))
         else:
             hearers = neighbors[next(iter(sending))] if sending else ()
+        heard: list[int] = []  # the nodes served in step (4)
         for v in hearers:
             out = outcome[v]
             if out is SILENCE or out is COLLISION:
                 continue
+            heard.append(v)
             state = states[v]
             state.wake = 0
             algorithm.on_hear(state, out.sender, out.message)
-            if state.wake > soon:
-                awake.discard(v)
-                if state.wake <= horizon:
-                    due.setdefault(state.wake, []).append(v)
-            else:
-                awake.add(v)
-            if len(state.queue) != size[v]:
-                touched.append(v)
             f = out.message.tour
             if f is None:
                 continue
             if next_hop[out.sender] == v:
                 del states[out.sender].queue[f.id]
-                touched.append(out.sender)
                 hops -= 1
                 if v == f.path[-1]:
                     latency = r - f.injection_round
@@ -395,10 +372,16 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                         Delivery(f.id, f.injection_round, r, latency, f.length))
                 else:
                     state.queue[f.id] = f
-                    touched.append(v)
 
-        for v in touched:
-            q, old = len(states[v].queue), size[v]
+        # (5) settle the nodes that acted or heard
+        for v in order + heard:
+            state = states[v]
+            if state.wake > soon:
+                awake.discard(v)
+                due.setdefault(state.wake, []).append(v)
+            else:
+                awake.add(v)
+            q, old = len(state.queue), size[v]
             if q == old:
                 continue
             size[v] = q

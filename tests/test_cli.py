@@ -74,6 +74,14 @@ def test_sls_negative_tour_count_is_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_sls_over_brute_force_cap_prints_nothing_before_its_error(capsys):
+    code = run_cli("sls", "--network", "gen:clique:12", "--gen-tours", "11")
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: brute force capped at 10 tours, got 11\n"
+
+
 def test_sls_rejects_multilink_tours(tmp_path, capsys):
     netfile = tmp_path / "net.txt"
     netfile.write_text("n 3\ne 1 2\ne 2 3\n")

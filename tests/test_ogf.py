@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from radiosim import (LISTEN, AdversaryType, GossipConfig, InjectionTrace,
-                      Message, NodeState, OgfError, Tour, TourError,
-                      WindowOverflowError, build_network,
+from radiosim import (LISTEN, AdversaryType, Coloring, GossipConfig,
+                      InjectionTrace, Message, NodeState, OgfError, Tour,
+                      TourError, WindowOverflowError, build_network,
                       compute_window_bound, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_path,
                       make_random_connected, plan_window, run, run_ogf,
@@ -430,6 +431,21 @@ def test_lenient_carryover_preserves_soundness_under_saturation():
     old_counts = [w.old_count for w in res.windows]
     assert old_counts[-1] > old_counts[1]
     assert res.metrics.final_backlog() > 0
+
+
+@pytest.mark.parametrize("kwargs, round_no", [
+    ({}, 14), ({"strict": False, "window_override": 40}, 46)])
+def test_soundness_observer_raises_on_a_phase2_collision(monkeypatch, kwargs,
+                                                         round_no):
+    # one color for two tours that both end at node 2: they collide there
+    monkeypatch.setattr(ogf, "greedy_color",
+                        lambda cg: Coloring(dict.fromkeys(cg.vertices, 1), 1))
+    trace = InjectionTrace((Tour(1, 1, (1, 2)), Tour(2, 1, (3, 2))), 1)
+    with pytest.raises(ogf.GuaranteeError, match=re.escape(
+            f"round {round_no}: tour 1 transmitted by node 1 was not heard "
+            f"by its next hop 2 (COLLISION)")):
+        run_ogf(make_path(3), _adv(1, 8, 2, 1), GossipConfig.oracle(5), trace,
+                200, **kwargs)
 
 
 # ---------------------------------------------------------------- window record
