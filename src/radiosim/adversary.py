@@ -279,7 +279,8 @@ def gen_unbalanced_clique(adv: AdversaryType, n: int, t: int,
     exactly L links; injections are spread so the trace stays admissible.
     """
     if classify(adv) is not Balance.UNBALANCED:
-        raise AdversaryError(f"gen_unbalanced_clique needs an unbalanced type, got {adv}")
+        raise AdversaryError(f"need an unbalanced type (rho*L > 1), got {adv} "
+                             f"with rho*L = {adv.rho * adv.L}")
     if n <= adv.L:
         raise AdversaryError(f"need n > L, got n={n}, L={adv.L}")
     if (adv.L * adv.rho - 1) * t < 1:

@@ -35,6 +35,7 @@ EXIT_USAGE = 2
 
 SUMMARY_HEADER = "scenario,seed,n,rho,b,L,u,max_latency,max_queue,verdict"
 GROWTH_SLOPE = 0.01  # backlog per round
+OUT_HELP = "directory for CSV outputs, made before the command runs"
 
 
 def read_input(path: str) -> str:
@@ -52,25 +53,28 @@ def derive_seed(seed: int, label: str) -> int:
     return int(digest[:16], 16)
 
 
+# each `gen:` kind's maker and field types; gen:random also takes a seed
+GENERATORS = {"clique": (network.make_clique, (int,)),
+              "path": (network.make_path, (int,)),
+              "cycle": (network.make_cycle, (int,)),
+              "random": (network.make_random_connected, (int, float))}
+GENERATOR_FORMS = "gen:clique:N | gen:path:N | gen:cycle:N | gen:random:N:P"
+
+
 def load_network(spec: str, seed: int) -> network.Network:
-    """A file path, or gen:clique:N | gen:path:N | gen:cycle:N | gen:random:N:P."""
-    if spec.startswith("gen:"):
-        parts = spec.split(":")
-        kind = parts[1] if len(parts) > 1 else ""
-        try:
-            if kind == "clique":
-                return network.make_clique(int(parts[2]))
-            if kind == "path":
-                return network.make_path(int(parts[2]))
-            if kind == "cycle":
-                return network.make_cycle(int(parts[2]))
-            if kind == "random":
-                return network.make_random_connected(
-                    int(parts[2]), float(parts[3]), derive_seed(seed, "topology"))
-        except (IndexError, ValueError) as exc:
-            raise network.NetworkError(f"bad generator spec {spec!r}: {exc}") from None
-        raise network.NetworkError(f"unknown generator {kind!r} in {spec!r}")
-    return network.parse_network(read_input(spec))
+    """A file path, or one of GENERATOR_FORMS."""
+    if not spec.startswith("gen:"):
+        return network.parse_network(read_input(spec))
+    kind, *fields = spec[len("gen:"):].split(":")
+    try:
+        maker, types = GENERATORS[kind]
+        values = [parse(x) for parse, x in zip(types, fields, strict=True)]
+    except (KeyError, ValueError):
+        raise network.NetworkError(
+            f"bad generator spec {spec!r}; use {GENERATOR_FORMS}") from None
+    if kind == "random":
+        values.append(derive_seed(seed, "topology"))
+    return maker(*values)
 
 
 def parse_gossip(spec: str) -> ogf.GossipConfig:
@@ -111,11 +115,8 @@ class StabilityVerdict:
 
 
 def _write(out_dir: str | None, name: str, content: str) -> None:
-    if out_dir is None:
-        return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(content)
+    if out_dir is not None:
+        (Path(out_dir) / name).write_text(content)
 
 
 def _summary(scenario: str, seed: int, n: int, adv: adversary.AdversaryType | None,
@@ -168,15 +169,15 @@ def cmd_sls(args) -> int:
         tours = _one_link_tours_from_file(args.tours)
     else:
         tours = _gen_one_link_tours(net, args.gen_tours, args.seed)
-    tours = coloring.one_link_tours(net, tours)
+    # checks each tour and the size cap, so both raise before any output
+    t_opt = coloring.optimal_sls_length(net, tours)
     if not tours:
         print("empty instance: 0 tours, schedule length 0 (vacuous)")
         _summary("sls", args.seed, net.n, None, None, None, None, "ok", args.out)
         return EXIT_OK
 
     cg = conflict.build_conflict_graph(net, tours)
-    mu = coloring.exact_chromatic(cg)  # raises before any output on a capped size
-    t_opt = coloring.optimal_sls_length(net, tours)
+    mu = coloring.exact_chromatic(cg)
     print(f"conflict graph: {len(cg.vertices)} tours, edges "
           f"{sorted(cg.edges) if cg.edges else '{}'}")
     sched = coloring.schedule_from_coloring(coloring.greedy_color(cg), cg)
@@ -198,10 +199,6 @@ def cmd_sls(args) -> int:
 
 def cmd_instability(args) -> int:
     adv = adversary.AdversaryType.parse(args.adv)
-    if adversary.classify(adv) is not adversary.Balance.UNBALANCED:
-        raise adversary.AdversaryError(
-            f"instability needs an unbalanced type, got {adv} "
-            f"(rho*L = {adv.rho * adv.L})")
     horizon = args.intervals * args.t
     net, trace = adversary.gen_unbalanced_clique(adv, args.n, args.t, horizon)
 
@@ -239,9 +236,6 @@ def cmd_instability(args) -> int:
 
 def cmd_ogf(args) -> int:
     adv = adversary.AdversaryType.parse(args.adv)
-    if adversary.classify(adv) is not adversary.Balance.BALANCED:
-        raise adversary.AdversaryError(
-            f"ogf needs a balanced type, got {adv} (rho*L = {adv.rho * adv.L})")
     net = load_network(args.network, args.seed)
     gossip = parse_gossip(args.gossip)
     s_n = gossip.rounds(net.n)
@@ -346,13 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--network", required=True,
-                       help="file path or gen:clique:N | gen:path:N | "
-                            "gen:cycle:N | gen:random:N:P")
+                       help=f"file path or {GENERATOR_FORMS}")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--out", default=None, help="directory for CSV outputs")
 
     p = sub.add_parser("sls", help="static link scheduling vs chromatic number")
     common(p)
+    p.add_argument("--out", default=None, help=OUT_HELP)
     p.add_argument("--tours", default=None, help="file of one-link tour lines")
     p.add_argument("--gen-tours", type=int, default=5,
                    help="number of random one-link tours when no file is given")
@@ -369,11 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forced window length for --algorithm ogf")
     p.add_argument("--gossip", default="tdma")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help=OUT_HELP)
     p.set_defaults(func=cmd_instability)
 
     p = sub.add_parser("ogf", help="Old-Go-First bounded-latency run")
     common(p)
+    p.add_argument("--out", default=None, help=OUT_HELP)
     p.add_argument("--adv", required=True, help="<num>/<den>:<b>:<L>, balanced")
     p.add_argument("--gossip", default="tdma", help="tdma or oracle:<S_n>")
     p.add_argument("--horizon", type=int, default=0, help="default 10u")
@@ -406,6 +400,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except ogf.GuaranteeError as exc:
         print(f"FAIL during run: {exc}", file=sys.stderr)

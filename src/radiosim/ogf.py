@@ -64,6 +64,8 @@ class GossipConfig:
             raise OgfError(f"unknown gossip mode {self.mode!r}")
         if self.mode == "oracle" and (self.s_n is None or self.s_n < 1):
             raise OgfError("oracle gossip needs S_n >= 1")
+        if self.mode == "tdma" and self.s_n is not None:
+            raise OgfError(f"tdma gossip takes no S_n, got {self.s_n}")
 
     @classmethod
     def tdma(cls) -> "GossipConfig":
@@ -216,10 +218,12 @@ class OldGoFirst(RoutingAlgorithm):
 
     def _snapshot(self, state: NodeState, window_index: int, window_start: int) -> None:
         """Freeze this node's old tours (anything injected before the window)
-        as its initial rumor set; drop last window's knowledge.  Under oracle
-        gossip the rumor set is the window's shared union, which every node
-        extends with its own snapshot."""
-        rumors = {tid: (f, f.path.index(state.name))
+        as its initial rumor set, each as the tour that remains from here (at
+        its source, the queued tour itself); drop last window's knowledge.
+        Under oracle gossip the rumor set is the window's shared union, which
+        every node extends with its own snapshot."""
+        rumors = {tid: f if f.path[0] == state.name else
+                  Tour(tid, f.injection_round, f.path[f.path.index(state.name):])
                   for tid, f in state.queue.items()
                   if f.injection_round < window_start}
         if self.gossip.mode == "oracle":
@@ -264,11 +268,7 @@ class OldGoFirst(RoutingAlgorithm):
         rumors = state.memory.get("rumors", {})
         index, planned_from, plan = self._window
         if plan is None or index != window_index or rumors != planned_from:
-            # a tour that has not moved is its own remaining tour
-            remaining = [tour if not progress else
-                         Tour(tid, tour.injection_round, tour.path[progress:])
-                         for tid, (tour, progress) in sorted(rumors.items())]
-            plan = plan_window(self.net, remaining)
+            plan = plan_window(self.net, list(rumors.values()))
             fits = self.s_n + plan.phase2_length <= self.w
             if not fits and self.strict:
                 raise WindowOverflowError(

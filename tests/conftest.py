@@ -1,6 +1,7 @@
 """Shared fixtures: the crossed-ring example, every small connected
 network, small random instances, one malformed tour per validation
-failure, and the spider burst that overflows an Old-Go-First window.
+failure, the spider burst that overflows an Old-Go-First window, and
+each strict Old-Go-First latency predicted from the trace alone.
 
 The crossed-ring network is a 4-cycle r-s-u-w-r (numbered 1-2-3-4) with
 four one-link tours whose conflict structure exercises every clause of
@@ -19,7 +20,7 @@ import pytest
 
 from radiosim import (AdversaryType, InjectionTrace, LoadLedger, Network,
                       NetworkError, Tour, build_network, make_random_connected,
-                      node_load)
+                      node_load, plan_window)
 
 # node names within the crossed ring
 R, S, U, W = 1, 2, 3, 4
@@ -111,6 +112,29 @@ def random_tours(net: Network, rng: random.Random, count: int,
 def random_network(rng: random.Random, max_n: int = 6) -> Network:
     n = rng.randint(2, max_n)
     return make_random_connected(n, rng.random(), rng.randrange(10**9))
+
+
+def predicted_latency(net: Network, trace: InjectionTrace, w: int,
+                      s_n: int) -> dict[int, int]:
+    """Each tour's latency in a strict Old-Go-First run with window w and
+    S(n) = s_n, by tour id, from the trace alone.  A tour f injected in
+    round r of window k, (k-1)*w < r <= k*w, is old in window k+1, whose
+    plan `plan_window` makes from the tours injected in window k.  With its
+    color c and the plan's conflict degree Delta, f's last hop is heard in
+    super-round len(f), color round c, so
+
+        latency = k*w + S(n) + (len(f) - 1)*(Delta + 1) + c - r
+    """
+    injected: dict[int, list[Tour]] = {}
+    for f in trace.injections:
+        injected.setdefault((f.injection_round - 1) // w + 1, []).append(f)
+    predicted = {}
+    for k, tours in injected.items():
+        plan = plan_window(net, tours)
+        for f in tours:
+            predicted[f.id] = (k * w + s_n + (f.length - 1) * (plan.delta + 1)
+                               + plan.coloring.assignment[f.id] - f.injection_round)
+    return predicted
 
 
 def assert_genuine_witness(net, trace, adv, violation):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from radiosim import (LISTEN, AdversaryType, COLLISION, GossipConfig, Heard,
-                      InjectionTrace, Message, RoundRobin, SILENCE, Tour,
+                      InjectionTrace, Message, Network, RoundRobin, SILENCE, Tour,
                       build_conflict_graph, build_network, classify,
                       compute_window_bound, exact_chromatic, gen_balanced,
                       gen_unbalanced_clique, make_clique, make_cycle,
@@ -25,7 +25,7 @@ from radiosim import (LISTEN, AdversaryType, COLLISION, GossipConfig, Heard,
                       run, run_ogf, step, tours_conflict, verify_admissible,
                       verify_admissible_all_intervals)
 from conftest import (RING4_CONFLICT_EDGES, assert_genuine_witness,
-                      random_simple_path)
+                      predicted_latency, random_simple_path)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -119,6 +119,7 @@ def test_c3_saturation_counting_bound():
 @dataclass
 class MatrixRun:
     label: str
+    net: Network
     u: int
     result: object
     trace: InjectionTrace
@@ -188,7 +189,7 @@ def latency_matrix():
                              horizon=horizon, attempts_per_round=attempts)
         assert verify_admissible(net, trace, adv) is None, label
         result = run_ogf(net, adv, gossip, trace, horizon)
-        runs.append(MatrixRun(label, u, result, trace, horizon))
+        runs.append(MatrixRun(label, net, u, result, trace, horizon))
     assert covered == {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
     return runs
 
@@ -209,6 +210,20 @@ def test_c4_latency_bounded_by_2u(latency_matrix):
     report("C4 latency <= 2u",
            f"{len(latency_matrix)} configurations, {delivered_total} "
            "deliveries, zero latency or overdue violations")
+
+
+def test_c4_every_latency_predicted_exactly(latency_matrix):
+    delivered_total = 0
+    for mr in latency_matrix:
+        res = mr.result
+        predicted = predicted_latency(mr.net, mr.trace, res.w, res.s_n)
+        for d in res.metrics.deliveries:
+            assert d.latency == predicted[d.tour_id], (mr.label, d)
+        delivered_total += res.metrics.delivered_total
+    report("C4 latency identity",
+           f"{delivered_total} deliveries across {len(latency_matrix)} "
+           "configurations, each latency k*w + S(n) + (len(f) - 1)*(Delta + 1) "
+           "+ c - r")
 
 
 def test_c8_per_color_residency_checked_every_round(latency_matrix):

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from radiosim import format_network, format_trace, format_tour, make_path
+from radiosim import (coloring, format_network, format_trace, format_tour,
+                      make_path, validate_tour)
 from radiosim.cli import (EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, derive_seed,
                           load_network, main)
 from conftest import MALFORMED_TOURS, spider_burst
@@ -35,7 +36,39 @@ def test_load_network_from_file(tmp_path):
 
 
 def test_bad_generator_spec_is_usage_error(capsys):
-    assert run_cli("gossip-check", "--network", "gen:torus:4") == EXIT_USAGE
+    # an unknown kind, extra fields and a missing field
+    for spec in ("gen:torus:4", "gen:clique:4:junk", "gen:path:5:0.3:x",
+                 "gen:random:4"):
+        assert run_cli("gossip-check", "--network", spec) == EXIT_USAGE, spec
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, spec
+        assert err.startswith(f"error: bad generator spec {spec!r}; use gen:clique:N")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sls", "--network", "gen:path:3", "--gen-tours", "3"],
+    ["instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
+     "--intervals", "5"],
+    ["ogf", "--network", "gen:path:4", "--adv", "1/8:1:2", "--horizon", "40"],
+], ids=["sls", "instability", "ogf"])
+def test_out_that_is_a_file_fails_before_the_run(argv, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(*argv, "--out", str(taken)) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(taken) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-trace", "--network", "gen:path:3", "--trace", "trace.txt"],
+    ["gossip-check", "--network", "gen:path:3"],
+], ids=["verify-trace", "gossip-check"])
+def test_commands_that_write_nothing_take_no_out(command, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--out", str(tmp_path))
+    assert exc.value.code == EXIT_USAGE
 
 
 # ---------------------------------------------------------------- sls
@@ -91,6 +124,18 @@ def test_sls_rejects_multilink_tours(tmp_path, capsys):
                    "--tours", str(toursfile)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_sls_checks_each_tour_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(net, tour):
+        calls.append(tour.id)
+        return validate_tour(net, tour)
+
+    monkeypatch.setattr(coloring, "validate_tour", counting)
+    assert run_cli("sls", "--network", "gen:clique:5", "--gen-tours", "7") == EXIT_OK
+    assert sorted(calls) == list(range(1, 8))
 
 
 @pytest.mark.parametrize("tour, match", MALFORMED_TOURS)
@@ -170,6 +215,18 @@ def test_ogf_rejects_unbalanced(capsys):
                    "--adv", "1/2:1:3") == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, product", [
+    (["ogf", "--network", "gen:path:4", "--adv", "1/2:1:3"], "3/2"),
+    (["ogf", "--network", "gen:path:4", "--adv", "1/3:1:3"], "1"),
+    (["instability", "--adv", "1/8:1:2", "--n", "6", "--t", "2"], "1/4"),
+], ids=["ogf-unbalanced", "ogf-critical", "instability-balanced"])
+def test_wrong_balance_class_error_gives_rho_l(argv, product, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert f"rho*L = {product}" in err
 
 
 def test_ogf_broken_guarantee_exits_1(tmp_path, capsys):

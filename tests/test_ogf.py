@@ -107,9 +107,9 @@ def test_gossip_payload_is_a_snapshot_that_hearers_only_read():
 
 def test_merge_gossip_accepts_pair_payloads():
     t1, t2 = Tour(1, 1, (1, 2)), Tour(2, 1, (3, 2))
-    state = NodeState(2, 3, memory={"rumors": {1: (t1, 0)}})
+    state = NodeState(2, 3, memory={"rumors": {1: t1}})
     ogf.merge_gossip(state, _rumors((t2, 0)))
-    assert state.memory["rumors"] == {1: (t1, 0), 2: (t2, 0)}
+    assert state.memory["rumors"] == {1: t1, 2: t2}
 
 
 def test_gossip_config_validation():
@@ -117,6 +117,8 @@ def test_gossip_config_validation():
         GossipConfig.oracle(0)
     with pytest.raises(OgfError, match="gossip mode"):
         GossipConfig("flood")
+    with pytest.raises(OgfError, match="tdma gossip takes no S_n"):
+        GossipConfig("tdma", 5)
     assert GossipConfig.tdma().rounds(6) == 30
     assert GossipConfig.oracle(7).rounds(6) == 7
 
@@ -154,8 +156,10 @@ def _state_with(net, node, tours):
 
 
 def _rumors(*placed):
-    """A phase-1 message placing each (tour, path index) pair."""
-    return Message(control=tuple((f.id, (f, p)) for f, p in placed))
+    """A phase-1 message placing each (tour, path index) pair: its rumor is
+    the tour that remains from that index."""
+    return Message(control=tuple((f.id, Tour(f.id, f.injection_round, f.path[p:]))
+                                 for f, p in placed))
 
 
 def _phase2_actions(net, state, heard, offsets):
