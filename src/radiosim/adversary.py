@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .conflict import (Tour, conflict_node_set, format_tour, parse_tour_line,
-                       validate_tour)
+from .conflict import (Tour, _path_conflict_nodes, conflict_node_set, format_tour,
+                       parse_tour_line, validate_tour)
 from .network import Network, make_clique
 
 
@@ -166,14 +166,22 @@ class _LoadEnvelope:
             return self.q * c - self.p + carry, r, start, load + c
         return self.q * c - self.p, r, r, c
 
-    def headroom(self, v: int, r: int) -> int:
-        """How many more tours node v admits in round r."""
-        return (self.cap - self._advanced(v, r, 0)[0]) // self.q
-
     def add(self, v: int, r: int, c: int) -> bool:
         """Add c tours in round r at node v; False if v is then over budget."""
         self.nodes[v] = state = self._advanced(v, r, c)
         return state[0] <= self.cap
+
+    def admit(self, nodes: tuple[int, ...], r: int) -> bool:
+        """Add one tour in round r at every node of `nodes` if each of them
+        stays within budget; else add nothing and return False."""
+        booked = []
+        for v in nodes:
+            state = self._advanced(v, r, 1)
+            if state[0] > self.cap:
+                return False
+            booked.append((v, state))
+        self.nodes.update(booked)
+        return True
 
     def witness(self, v: int) -> Violation:
         _, last, start, load = self.nodes[v]
@@ -223,26 +231,19 @@ def verify_admissible_all_intervals(net: Network, trace: InjectionTrace,
     return None
 
 
-def _random_simple_path(net: Network, rng: random.Random, max_len: int) -> tuple[int, ...]:
-    """Random walk without node repeats, truncated at dead ends."""
-    target = rng.randint(1, max_len)
-    path = [rng.randrange(1, net.n + 1)]
-    visited = {path[0]}
-    while len(path) <= target:
-        options = sorted(net.neighbors(path[-1]) - visited)
-        if not options:
-            break
-        nxt = rng.choice(options)
-        path.append(nxt)
-        visited.add(nxt)
-    return tuple(path)
-
-
 def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
                  attempts_per_round: int = 1) -> InjectionTrace:
     """Greedy admissible traffic: random candidate tours admitted whenever
     every conflicting node's budget allows.  Deterministic in all arguments;
     the output always passes verify_admissible.
+
+    Each attempt draws a path length in [1, L] and a start node, then walks
+    to a random unvisited neighbor (from the sorted neighbor list) until
+    the path has that many links or meets a dead end.  A walk that stays at
+    its start is dropped; any other candidate becomes a `Tour`, under the
+    next free id, only if it is admitted.  Apart from the random draws, an
+    attempt costs its walk and its conflict nodes' envelope steps; each
+    distinct path's conflict nodes are computed once per call.
     """
     if classify(adv) is not Balance.BALANCED:
         raise AdversaryError(f"gen_balanced needs a balanced type, got {adv}")
@@ -252,21 +253,28 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
         raise AdversaryError(
             f"attempts per round must be >= 0, got {attempts_per_round}")
     rng = random.Random(seed)
+    randrange, choice = rng.randrange, rng.choice
+    neighbors = {v: sorted(net._adj[v]) for v in net.nodes()}
     envelope = _LoadEnvelope(adv)
     tours: list[Tour] = []
-    next_id = 1
+    conflicts: dict[tuple[int, ...], tuple[int, ...]] = {}  # by path
     for r in range(1, horizon + 1):
         for _ in range(attempts_per_round):
-            path = _random_simple_path(net, rng, adv.L)
-            if len(path) < 2:
-                continue
-            candidate = Tour(next_id, r, path)
-            hit = conflict_node_set(net, candidate)
-            if all(envelope.headroom(v, r) > 0 for v in hit):
-                for v in hit:
-                    envelope.add(v, r, 1)
-                tours.append(candidate)
-                next_id += 1
+            links = randrange(1, adv.L + 1)
+            v = randrange(1, net.n + 1)
+            path = [v]
+            for _ in range(links):
+                options = [u for u in neighbors[v] if u not in path]
+                if not options:
+                    break
+                v = choice(options)
+                path.append(v)
+            if len(path) > 1:
+                path = tuple(path)
+                if path not in conflicts:
+                    conflicts[path] = tuple(_path_conflict_nodes(net, path))
+                if envelope.admit(conflicts[path], r):
+                    tours.append(Tour(len(tours) + 1, r, path))
     return InjectionTrace(tuple(tours), horizon)
 
 
@@ -286,27 +294,25 @@ def gen_unbalanced_clique(adv: AdversaryType, n: int, t: int,
     if (adv.L * adv.rho - 1) * t < 1:
         raise AdversaryError(
             f"need (L*rho - 1)*t >= 1, got t={t} for {adv}")
+    per_interval = math.floor(adv.rho * t)
+    if adv.L * per_interval <= t:
+        raise AdversaryError(
+            f"need L*floor(rho*t) > t, got t={t} for {adv}")
     if horizon < 0:
         raise AdversaryError(f"horizon must be >= 0, got {horizon}")
 
     net = make_clique(n)
-    per_interval = math.floor(adv.rho * t)
     envelope = _LoadEnvelope(adv)
     # on a clique every tour conflicts with every node: node 1 stands for all
     tours: list[Tour] = []
-    next_id = 1
-    intervals = horizon // t
-    for k in range(1, intervals + 1):
+    for k in range(1, horizon // t + 1):
         quota = per_interval + (adv.b if k == 1 else 0)
         for r in range((k - 1) * t + 1, k * t + 1):
-            allow = min(quota, envelope.headroom(1, r))
-            for _ in range(allow):
-                start = (next_id - 1) % n
-                path = tuple(((start + i) % n) + 1 for i in range(adv.L + 1))
-                tours.append(Tour(next_id, r, path))
-                next_id += 1
-            envelope.add(1, r, allow)
-            quota -= allow
+            while quota and envelope.admit((1,), r):
+                start = len(tours)
+                path = tuple((start + i) % n + 1 for i in range(adv.L + 1))
+                tours.append(Tour(start + 1, r, path))
+                quota -= 1
     return net, InjectionTrace(tuple(tours), horizon)
 
 

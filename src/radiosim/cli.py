@@ -39,7 +39,10 @@ OUT_HELP = "directory for CSV outputs, made before the command runs"
 
 
 def read_input(path: str) -> str:
-    """An input file's text; like a missing one, a non-UTF-8 file is an OSError."""
+    """An input file's text; like a missing one, a non-UTF-8 file or an
+    empty path is an OSError."""
+    if not path:
+        raise OSError(errno.ENOENT, "empty input file path", path)
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -210,9 +213,10 @@ def cmd_instability(args) -> int:
         metrics = ogf.run_ogf(net, adv, gossip, trace, horizon,
                               window_override=window, strict=False).metrics
 
+    # the generator injects floor(rho*t) tours of L hops per interval
     k = args.intervals
-    surplus = (adv.L * adv.rho - 1) * k * args.t - adv.b * adv.L
-    bound = max(0, math.floor(surplus / adv.L))
+    surplus = (adv.L * math.floor(adv.rho * args.t) - args.t) * k - adv.b * adv.L
+    bound = max(0, surplus // adv.L)
     measured = metrics.final_backlog()
     verdict = StabilityVerdict.from_backlog(metrics.backlog)
     print(f"injected {metrics.injected_total} tours of length {adv.L} "

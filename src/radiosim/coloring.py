@@ -136,7 +136,8 @@ def _round_delivers(net: Network, actions: dict[int, engine.Action],
                     group: Sequence[engine.Message]) -> bool:
     """Simulate one round of `actions`, the action map of `net` in which each
     tour of the group transmits from its tail (its `Message(tour=f)`) and
-    every other node listens; True iff every head hears its tail.
+    every other node listens; True iff every head hears its tail, that is,
+    hears the tour's own message, which no other node sends.
 
     The caller keeps the map: it sets a tail when a tour joins the group and
     resets it to LISTEN when the tour leaves.  Two tours sharing a tail
@@ -144,11 +145,8 @@ def _round_delivers(net: Network, actions: dict[int, engine.Action],
     """
     outcome = engine.step(net, actions)
     for a in group:
-        f = a.tour
-        out = outcome[f.path[1]]
-        if not (isinstance(out, engine.Heard)
-                and out.sender == f.path[0]
-                and out.message.tour is f):
+        out = outcome[a.tour.path[1]]
+        if not (type(out) is engine.Heard and out.message is a):
             return False
     return True
 

@@ -77,13 +77,15 @@ def node_tour_conflicts(net: Network, w: int, tour: Tour) -> bool:
     return any(node_link_conflicts(net, w, link) for link in tour.links())
 
 
+def _path_conflict_nodes(net: Network, path: tuple[int, ...]) -> set[int]:
+    """All nodes that conflict with a tour on `path`, a path of `net`: the
+    path's own nodes plus every neighbor of a link head."""
+    return set(path).union(*map(net._adj.__getitem__, path[1:]))
+
+
 def conflict_node_set(net: Network, tour: Tour) -> frozenset[int]:
-    """All nodes that conflict with the tour: its own nodes plus every
-    neighbor of a link head."""
-    nodes = set(tour.path)
-    for head in tour.path[1:]:
-        nodes |= net.neighbors(head)
-    return frozenset(nodes)
+    """All nodes that conflict with the tour (see _path_conflict_nodes)."""
+    return frozenset(_path_conflict_nodes(net, tour.path))
 
 
 _Sets = tuple[frozenset[int], frozenset[int]]

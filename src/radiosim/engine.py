@@ -95,44 +95,36 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     Every node must have exactly one action.  A node hears iff it listens
     and exactly one of its neighbors transmits; it sees a collision iff it
     listens and two or more neighbors transmit; otherwise silence (a
-    transmitter always gets silence).  Each transmitter registers with its
-    neighbors, and a listener's outcome comes from the transmitters
-    registered with it, so no listener scans its own neighbors.  All
-    hearers of one transmitter share one frozen `Heard`, built when the
-    first of them is served.
+    transmitter always gets silence).  All hearers of one transmitter share
+    one frozen `Heard`.
 
     Cost: one C-level comparison of the action map's keys with the node
-    set, one C-level fill of the all-silence outcome, one Python-level pass
-    over the action map in which a listener costs one identity test, and
-    further Python work only for the transmitters and their neighborhoods.
-    A malformed map is reported as a scan in node order meets it: the first
+    set, one C-level fill of the all-silence outcome, and one Python-level
+    pass over the action map in which a listener costs one identity test
+    and a transmitter its neighborhood.  A transmitter's first silent
+    listening neighbor gets a new `Heard`, each later one the same object,
+    and a neighbor that has heard another transmitter gets COLLISION.  A
+    malformed map is reported as a scan in node order meets it: the first
     node with no action or an invalid one, else the unknown nodes.
     """
     adj = net._adj
     if actions.keys() != adj.keys():
         _reject(net, actions)
-    # listener -> its one transmitting neighbor, or None for two or more
-    senders: dict[int, int | None] = {}
+    outcome: RoundOutcome = dict.fromkeys(adj, SILENCE)
     for v, a in actions.items():
         if a is LISTEN:
             continue
         if not isinstance(a, Message):
             _reject(net, actions)
+        h = None
         for u in adj[v]:
-            senders[u] = None if u in senders else v
-
-    outcome: RoundOutcome = dict.fromkeys(adj, SILENCE)
-    heard: dict[int, Heard] = {}  # transmitter -> what its hearers get
-    for v, sender in senders.items():
-        if actions[v] is not LISTEN:
-            continue
-        if sender is None:
-            outcome[v] = COLLISION
-            continue
-        h = heard.get(sender)
-        if h is None:
-            h = heard[sender] = Heard(sender, actions[sender])
-        outcome[v] = h
+            if actions[u] is not LISTEN:
+                continue
+            out = outcome[u]
+            if out is SILENCE:
+                outcome[u] = h = h or Heard(v, a)
+            elif out is not COLLISION:
+                outcome[u] = COLLISION
     return outcome
 
 
@@ -273,8 +265,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     `step`, a round's Python-level work is proportional to its events: the
     awake nodes' callbacks, the transmitters' neighborhoods and the heard
     messages.  Only `step`, from whose calls the benchmark's tracer counts
-    node-rounds and radio events, costs O(n) in every round.  Fully
-    deterministic.
+    node-rounds and radio events, costs O(n) in every round: a C-level
+    fill and one identity test per node, next to the same events' work.
+    Fully deterministic.
 
     `observer(round, sending, outcome)` is called after step (3) with the
     message of each transmitting node and every node's outcome; tests and

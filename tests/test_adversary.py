@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from radiosim import (AdversaryError, AdversaryType, Balance, InjectionTrace,
-                      LoadLedger, Tour, classify, format_trace, gen_balanced,
-                      gen_unbalanced_clique, make_clique, make_path,
+                      LoadLedger, Tour, build_network, classify, format_trace,
+                      gen_balanced, gen_unbalanced_clique, make_clique, make_path,
                       make_random_connected, node_load, parse_trace, verify_admissible,
                       verify_admissible_all_intervals)
-from conftest import MALFORMED_TOURS, assert_genuine_witness, random_network
+from conftest import (MALFORMED_TOURS, assert_genuine_witness, random_network,
+                      random_simple_path)
 
 
 def _adv(num, den, b, L):
@@ -203,6 +204,53 @@ def test_gen_balanced_traces_pinned(net, adv, seed, horizon, attempts, count,
     assert _trace_digest(adv, trace) == digest
 
 
+def _reference_gen_balanced(net, adv, seed, horizon, attempts):
+    """gen_balanced's specification: draw each candidate with the tests'
+    path sampler and admit it iff the trace extended by it still passes
+    verify_admissible.  Also returns how many walks took a link and then
+    stopped at a dead end short of the length they drew."""
+    rng = random.Random(seed)
+    tours, dead_ends = [], 0
+    for r in range(1, horizon + 1):
+        for _ in range(attempts):
+            state = rng.getstate()
+            links = rng.randint(1, adv.L)  # the sampler's first draw
+            rng.setstate(state)
+            path = random_simple_path(net, rng, adv.L)
+            dead_ends += 1 < len(path) <= links
+            if len(path) < 2:
+                continue
+            extended = tours + [Tour(len(tours) + 1, r, path)]
+            if verify_admissible(net, InjectionTrace(tuple(extended), r), adv) is None:
+                tours = extended
+    return InjectionTrace(tuple(tours), horizon), dead_ends
+
+
+def _star(n):
+    return build_network(n, [(1, v) for v in range(2, n + 1)])
+
+
+def test_gen_balanced_matches_reference_generator():
+    """The same trace as the reference, tour for tour, on paths, stars,
+    cliques and random graphs, for every attempts per round in 0..3 and
+    every L in 1..4."""
+    rng = random.Random(41)
+    makers = [make_path, _star, make_clique,
+              lambda n: make_random_connected(n, rng.random(), rng.randrange(10**6))]
+    dead_ends = tours = 0
+    for case in range(100):
+        # a star may have one node, where every walk stays at its start
+        net = makers[case % 4](rng.randint(1 if case % 4 == 1 else 2, 7))
+        L, attempts = case // 4 % 4 + 1, case // 16 % 4
+        adv = AdversaryType(Fraction(rng.randint(1, 3), 4 * L), rng.randint(1, 3), L)
+        seed, horizon = rng.randrange(10**6), rng.randint(0, 25)
+        expected, stopped = _reference_gen_balanced(net, adv, seed, horizon, attempts)
+        assert gen_balanced(net, adv, seed, horizon, attempts) == expected, case
+        dead_ends += stopped
+        tours += len(expected.injections)
+    assert dead_ends > 0 and tours > 0
+
+
 # ------------------------------------------------------------- unbalanced gen
 
 
@@ -234,6 +282,15 @@ def test_unbalanced_clique_min_interval_length():
     assert len(trace.injections) == 1 + 1 + 1 + 2  # floor(rho*t)=1, +b once
     with pytest.raises(AdversaryError, match="t >= 1"):
         gen_unbalanced_clique(adv, n=6, t=1, horizon=8)
+
+
+def test_unbalanced_clique_needs_a_surplus_of_injected_hops():
+    # (L*rho - 1)*t = 5/4 >= 1, but floor(rho*t) = 0 tours per interval
+    with pytest.raises(AdversaryError, match=r"need L\*floor\(rho\*t\) > t"):
+        gen_unbalanced_clique(_adv(3, 4, 3, 3), n=8, t=1, horizon=8)
+    # floor(rho*t) = 1 tour of 3 hops per 2 rounds is enough
+    _, trace = gen_unbalanced_clique(_adv(3, 4, 1, 3), n=8, t=2, horizon=8)
+    assert len(trace.injections) == 4 + 1
 
 
 def test_unbalanced_clique_needs_room_for_paths():

@@ -192,6 +192,26 @@ def test_instability_rejects_balanced_type(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_instability_bound_counts_the_tours_injected(capsys):
+    # rho*t = 3/2: one 3-hop tour per 2-round interval, so the bound is
+    # floor(((3*1 - 2)*200 - 1*3) / 3) = 65, not rho*k*t tours' 165
+    code = run_cli("instability", "--adv", "3/4:1:3", "--n", "8", "--t", "2",
+                   "--intervals", "200")
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK, err
+    assert "final packet backlog: 70  (counting lower bound: 65)" in out
+
+
+def test_instability_interval_without_surplus_is_usage_error(capsys):
+    # floor(rho*t) = 0 tours per interval: no surplus to bank
+    code = run_cli("instability", "--adv", "3/4:3:3", "--n", "8", "--t", "1",
+                   "--intervals", "40")
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: need L*floor(rho*t) > t")
+
+
 # ---------------------------------------------------------------- ogf
 
 
@@ -391,3 +411,14 @@ def test_non_utf8_input_is_usage_error(argv, tmp_path, capsys):
 def test_missing_network_file_is_usage_error(tmp_path):
     assert run_cli("gossip-check", "--network",
                    str(tmp_path / "absent.txt")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["gossip-check", "--network", ""],
+    ["verify-trace", "--network", "gen:path:4", "--trace", ""],
+], ids=["network", "trace"])
+def test_empty_input_path_is_usage_error(argv, capsys):
+    # an empty path is the current directory to pathlib
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] empty input file path: ''\n"

@@ -127,6 +127,7 @@ OGF = ["ogf", "--network", "gen:path:4", "--adv", "1/8:1:2", "--horizon", "10"]
 @example(argv=["verify-trace", "--network", "gen:path:4", "--trace", "MISSING"])
 @example(argv=["gossip-check", "--network", "gen:random:4"])
 @example(argv=["gossip-check", "--network", "gen:clique:4:junk"])
+@example(argv=["gossip-check", "--network", ""])
 @given(argv=ARGV)
 def test_cli_exit_code_is_0_1_or_2(files, argv):
     argv = [files.get(arg, arg) for arg in argv]

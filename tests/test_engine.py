@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiosim import (COLLISION, LISTEN, SILENCE, EngineError,
                       Heard, InjectionTrace, Message, Metrics, NodeState,
@@ -126,6 +128,50 @@ def test_hearing_rule_exhaustive_small():
                         assert outcome[v] is COLLISION
                     else:
                         assert outcome[v] is SILENCE
+
+
+def _direct_outcome(net, actions) -> dict:
+    """The hearing rule stated node by node: a transmitter gets SILENCE, a
+    listener hears its one transmitting neighbor, collides with two or
+    more, and gets SILENCE with none."""
+    outcome = {}
+    for v in net.nodes():
+        heard_from = [u for u in sorted(net.neighbors(v)) if actions[u] is not LISTEN]
+        if actions[v] is not LISTEN or not heard_from:
+            outcome[v] = SILENCE
+        elif len(heard_from) == 1:
+            outcome[v] = Heard(heard_from[0], actions[heard_from[0]])
+        else:
+            outcome[v] = COLLISION
+    return outcome
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(5, 10), p=st.sampled_from([0.0, 0.2, 0.4, 0.7, 1.0]),
+       topology_seed=st.integers(0, 10**6), data=st.data())
+def test_step_matches_direct_rule_on_random_networks(n, p, topology_seed, data):
+    """step gives the direct rule's outcome on random 5-10 node networks,
+    all hearers of one transmitter share one `Heard`, and no `Heard` is
+    shared by two transmitters, also when their messages are equal."""
+    net = make_random_connected(n, p, topology_seed)
+    transmitters = data.draw(st.sets(st.integers(1, n)))
+    equal = data.draw(st.booleans())  # every transmitter sends Message()
+    actions = {v: (_tx(None if equal else f"m{v}") if v in transmitters
+                   else LISTEN) for v in net.nodes()}
+    outcome = step(net, actions)
+    assert list(outcome) == list(net.nodes())
+    expected = _direct_outcome(net, actions)
+    for v in net.nodes():
+        out = outcome[v]
+        assert out == expected[v], v
+        if isinstance(out, Heard):
+            assert out.message is actions[out.sender]
+    heards = [out for out in outcome.values() if isinstance(out, Heard)]
+    by_sender = {}
+    for h in heards:
+        by_sender.setdefault(h.sender, set()).add(id(h))
+    assert all(len(ids) == 1 for ids in by_sender.values())
+    assert len({id(h) for h in heards}) == len(by_sender)
 
 
 # ---------------------------------------------------------------- run
