@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 from .conflict import (Tour, _path_conflict_nodes, conflict_node_set, format_tour,
                        parse_tour_line, validate_tour)
@@ -171,7 +172,7 @@ class _LoadEnvelope:
         self.nodes[v] = state = self._advanced(v, r, c)
         return state[0] <= self.cap
 
-    def admit(self, nodes: tuple[int, ...], r: int) -> bool:
+    def admit(self, nodes: Iterable[int], r: int) -> bool:
         """Add one tour in round r at every node of `nodes` if each of them
         stays within budget; else add nothing and return False."""
         booked = []
@@ -242,8 +243,7 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     the path has that many links or meets a dead end.  A walk that stays at
     its start is dropped; any other candidate becomes a `Tour`, under the
     next free id, only if it is admitted.  Apart from the random draws, an
-    attempt costs its walk and its conflict nodes' envelope steps; each
-    distinct path's conflict nodes are computed once per call.
+    attempt costs its walk, its conflict nodes and their envelope steps.
     """
     if classify(adv) is not Balance.BALANCED:
         raise AdversaryError(f"gen_balanced needs a balanced type, got {adv}")
@@ -257,7 +257,6 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     neighbors = {v: sorted(net._adj[v]) for v in net.nodes()}
     envelope = _LoadEnvelope(adv)
     tours: list[Tour] = []
-    conflicts: dict[tuple[int, ...], tuple[int, ...]] = {}  # by path
     for r in range(1, horizon + 1):
         for _ in range(attempts_per_round):
             links = randrange(1, adv.L + 1)
@@ -271,11 +270,15 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
                 path.append(v)
             if len(path) > 1:
                 path = tuple(path)
-                if path not in conflicts:
-                    conflicts[path] = tuple(_path_conflict_nodes(net, path))
-                if envelope.admit(conflicts[path], r):
+                if envelope.admit(_path_conflict_nodes(net, path), r):
                     tours.append(Tour(len(tours) + 1, r, path))
     return InjectionTrace(tuple(tours), horizon)
+
+
+def _clique_quota(adv: AdversaryType, t: int) -> int:
+    """The floor(rho*t) tours gen_unbalanced_clique injects in each complete
+    interval of t rounds; the first interval carries b more."""
+    return math.floor(adv.rho * t)
 
 
 def gen_unbalanced_clique(adv: AdversaryType, n: int, t: int,
@@ -294,7 +297,7 @@ def gen_unbalanced_clique(adv: AdversaryType, n: int, t: int,
     if (adv.L * adv.rho - 1) * t < 1:
         raise AdversaryError(
             f"need (L*rho - 1)*t >= 1, got t={t} for {adv}")
-    per_interval = math.floor(adv.rho * t)
+    per_interval = _clique_quota(adv, t)
     if adv.L * per_interval <= t:
         raise AdversaryError(
             f"need L*floor(rho*t) > t, got t={t} for {adv}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
-import math
 import random
 import statistics
 import sys
@@ -213,9 +212,10 @@ def cmd_instability(args) -> int:
         metrics = ogf.run_ogf(net, adv, gossip, trace, horizon,
                               window_override=window, strict=False).metrics
 
-    # the generator injects floor(rho*t) tours of L hops per interval
+    # hops the generator injects per interval beyond the t that K_n forwards
     k = args.intervals
-    surplus = (adv.L * math.floor(adv.rho * args.t) - args.t) * k - adv.b * adv.L
+    per_interval = adversary._clique_quota(adv, args.t)
+    surplus = (adv.L * per_interval - args.t) * k - adv.b * adv.L
     bound = max(0, surplus // adv.L)
     measured = metrics.final_backlog()
     verdict = StabilityVerdict.from_backlog(metrics.backlog)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from radiosim import adversary
 from radiosim import (AdversaryError, AdversaryType, Balance, InjectionTrace,
                       LoadLedger, Tour, build_network, classify, format_trace,
                       gen_balanced, gen_unbalanced_clique, make_clique, make_path,
@@ -273,6 +275,18 @@ def test_unbalanced_clique_interval_counts():
         per_interval[k] = per_interval.get(k, 0) + 1
         assert f.length == 3
     assert per_interval == {1: 4, 2: 3, 3: 3}
+
+
+@pytest.mark.parametrize("adv,t", [
+    (_adv(1, 2, 1, 3), 2), (_adv(1, 2, 2, 3), 5), (_adv(3, 4, 1, 3), 2),
+    (_adv(3, 4, 3, 3), 3), (_adv(2, 3, 2, 2), 3), (_adv(1, 1, 1, 2), 1),
+])
+def test_unbalanced_clique_injects_its_quota(adv, t):
+    # the instability command's counting bound reads the same quota
+    _, trace = gen_unbalanced_clique(adv, n=adv.L + 2, t=t, horizon=5 * t + t - 1)
+    per_interval = Counter((f.injection_round - 1) // t + 1 for f in trace.injections)
+    quota = adversary._clique_quota(adv, t)
+    assert per_interval == {1: quota + adv.b, **{k: quota for k in range(2, 6)}}
 
 
 def test_unbalanced_clique_min_interval_length():
