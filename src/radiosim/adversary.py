@@ -294,13 +294,11 @@ def gen_unbalanced_clique(adv: AdversaryType, n: int, t: int,
                              f"with rho*L = {adv.rho * adv.L}")
     if n <= adv.L:
         raise AdversaryError(f"need n > L, got n={n}, L={adv.L}")
-    if (adv.L * adv.rho - 1) * t < 1:
-        raise AdversaryError(
-            f"need (L*rho - 1)*t >= 1, got t={t} for {adv}")
+    # L*rho*t >= L*floor(rho*t) >= t + 1, so one check covers both forms
     per_interval = _clique_quota(adv, t)
     if adv.L * per_interval <= t:
-        raise AdversaryError(
-            f"need L*floor(rho*t) > t, got t={t} for {adv}")
+        raise AdversaryError(f"need L*floor(rho*t) > t, hence (L*rho - 1)*t >= 1, "
+                             f"got t={t} for {adv}")
     if horizon < 0:
         raise AdversaryError(f"horizon must be >= 0, got {horizon}")
 

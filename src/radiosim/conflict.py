@@ -183,39 +183,46 @@ def bit_positions(mask: int) -> list[int]:
 
 
 def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
-    """The conflict graph of the tour set, each tour's conflict sets built
-    once.  Like conflict_node_set, it takes tours that are already paths of
-    `net` (see validate_tour) and does not check them again.
+    """The conflict graph of the tour set, each distinct path's conflict
+    sets built once.  Like conflict_node_set, it takes tours that are
+    already paths of `net` (see validate_tour) and does not check them again.
 
-    Two node masks per node x collect tour bits: N_x, the tours with x as
-    a non-destination node, and C_x, the tours whose conflict_node_set
-    holds x.  Then tour i's row is the OR of C_x over its non-destination
-    nodes x and of N_x over its conflict nodes x, without bit i.  This is
-    _sets_conflict for all pairs at once: bit j is set iff some x lies in
-    nondest(i) and C(j), or in C(i) and nondest(j).
+    Tours on one path have the same conflict sets, so they are grouped by
+    path first, and a group's mask holds its tours' bits.  Two node masks
+    per node x collect group masks: N_x, the tours with x as a
+    non-destination node, and C_x, the tours whose conflict_node_set holds
+    x.  Then a group's row is the OR of C_x over its path's non-destination
+    nodes x and of N_x over its conflict nodes x, and tour i's row is its
+    group's row without bit i.  This is _sets_conflict for all pairs at
+    once: bit j is set iff some x lies in nondest(i) and C(j), or in C(i)
+    and nondest(j).  Two tours on one path always conflict.
     """
     tour_list = sorted(tours, key=lambda f: f.id)
     ids = [f.id for f in tour_list]
     if len(set(ids)) != len(ids):
         raise TourError(f"duplicate tour ids in {ids}")
-    sets = [_conflict_sets(net, f) for f in tour_list]
+    groups: dict[tuple[int, ...], int] = {}  # path -> its tours' bits
+    for i, f in enumerate(tour_list):
+        groups[f.path] = groups.get(f.path, 0) | 1 << i
+    sets = {path: (path[:-1], _path_conflict_nodes(net, path)) for path in groups}
     nondest_at = [0] * (net.n + 1)
     conflict_at = [0] * (net.n + 1)
-    for i, (nondest, cset) in enumerate(sets):
-        bit = 1 << i
+    for path, mask in groups.items():
+        nondest, cset = sets[path]
         for x in nondest:
-            nondest_at[x] |= bit
+            nondest_at[x] |= mask
         for x in cset:
-            conflict_at[x] |= bit
-    bits = []
-    for i, (nondest, cset) in enumerate(sets):
+            conflict_at[x] |= mask
+    rows = {}
+    for path, (nondest, cset) in sets.items():
         row = 0
         for x in nondest:
             row |= conflict_at[x]
         for x in cset:
             row |= nondest_at[x]
-        bits.append(row & ~(1 << i))
-    return ConflictGraph._from_bits(ids, bits)
+        rows[path] = row
+    return ConflictGraph._from_bits(
+        ids, [rows[f.path] & ~(1 << i) for i, f in enumerate(tour_list)])
 
 
 def max_degree(cg: ConflictGraph) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from . import engine
 from .adversary import (AdversaryType, Balance, InjectionTrace, classify,
@@ -45,10 +46,12 @@ class WindowOverflowError(GuaranteeError):
 class GossipConfig:
     """How phase 1 collects old tours.
 
-    tdma: node ((r-1) mod n)+1 transmits its whole rumor set in phase-round
-    r, as a snapshot dict that its hearers only read; n-1 sweeps of n
-    rounds, so S(n) = n*(n-1).  oracle: knowledge is
-    shared instantaneously at phase start while a configurable S(n) rounds
+    tdma: node ((r-1) mod n)+1 transmits in phase-round r the rumors it
+    learned since its previous transmission, as a snapshot dict that its
+    hearers only read; n-1 sweeps of n rounds, so S(n) = n*(n-1).  It is
+    the round's only transmitter, so each neighbor hears all its payloads,
+    which together hold its whole rumor set.  oracle: knowledge is shared
+    instantaneously at phase start while a configurable S(n) rounds
     still elapse (a measurement mode for studying other gossip costs).  The
     oracle's knowledge is the union of every node's own window-start
     snapshot, so it needs every node's `on_round` to run in the window's
@@ -95,18 +98,26 @@ def compute_window_bound(adv: AdversaryType, s_n: int) -> int:
 
 def gossip_action(state: NodeState, offset: int) -> Action:
     """Phase-1 action: offset o (0-based) belongs to node (o mod n) + 1,
-    which sends a snapshot (a copy) of its rumor dict, so later changes to
-    its own dict do not reach the payload."""
+    which sends a snapshot (a copy) of the rumors it learned since its
+    previous transmission, so later changes to its own dict do not reach
+    the payload.  A rumor dict only grows within a window, and a tour id
+    names one rumor at every node, so these rumors are the dict's tail past
+    the count `memory["sent"]` (0 when absent), which the send updates.
+    The node transmits in its offset even when that tail is empty."""
     if state.name != offset % state.n + 1:
         return LISTEN
-    return Message(control=dict(state.memory["rumors"]))
+    memory = state.memory
+    rumors, sent = memory["rumors"], memory.get("sent", 0)
+    memory["sent"] = len(rumors)
+    return Message(control=dict(islice(rumors.items(), sent, None)))
 
 
 def merge_gossip(state: NodeState, message: Message) -> None:
-    """Merge the rumors of a heard phase-1 message into the node's own.  The
-    payload is only read, since every hearer of a transmission gets the same
-    one; a snapshot dict merges dict to dict, and any iterable of
-    (tour id, rumor) pairs is accepted too."""
+    """Merge the rumors of a heard phase-1 message, the sender's rumors new
+    since its previous transmission, into the node's own.  The payload is
+    only read, since every hearer of a transmission gets the same one; a
+    snapshot dict merges dict to dict, and any iterable of (tour id, rumor)
+    pairs is accepted too."""
     state.memory["rumors"].update(message.control)
 
 
@@ -219,9 +230,9 @@ class OldGoFirst(RoutingAlgorithm):
     def _snapshot(self, state: NodeState, window_index: int, window_start: int) -> None:
         """Freeze this node's old tours (anything injected before the window)
         as its initial rumor set, each as the tour that remains from here (at
-        its source, the queued tour itself); drop last window's knowledge.
-        Under oracle gossip the rumor set is the window's shared union, which
-        every node extends with its own snapshot."""
+        its source, the queued tour itself), none of them sent yet; drop last
+        window's knowledge.  Under oracle gossip the rumor set is the
+        window's shared union, which every node extends with its own snapshot."""
         rumors = {tid: f if f.path[0] == state.name else
                   Tour(tid, f.injection_round, f.path[f.path.index(state.name):])
                   for tid, f in state.queue.items()
@@ -234,6 +245,7 @@ class OldGoFirst(RoutingAlgorithm):
             union.update(rumors)
             rumors = union
         state.memory["rumors"] = rumors
+        state.memory["sent"] = 0
         state.memory["plan"] = None
 
     def _resident(self, state: NodeState,

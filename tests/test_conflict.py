@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from radiosim import (LISTEN, AdversaryType, ConflictGraph, Heard, Message,
-                      Tour, TourError, build_conflict_graph,
+from radiosim import (LISTEN, AdversaryType, ConflictGraph, GossipConfig,
+                      Heard, Message, Tour, TourError, build_conflict_graph,
                       conflict_node_set, format_tour, gen_unbalanced_clique,
                       make_clique, make_cycle, make_path, max_degree,
                       node_link_conflicts, node_tour_conflicts,
-                      parse_tour_line, step, tours_conflict, validate_tour)
+                      parse_tour_line, run_ogf, step, tours_conflict,
+                      validate_tour)
+from radiosim import ogf
 from conftest import (R, RING4_CONFLICT_EDGES, S, U, W, random_network,
                       random_tours)
 
@@ -223,6 +225,46 @@ def test_saturated_clique_old_set_is_complete():
     rng = random.Random(1)
     for f0, f1 in (rng.sample(old, 2) for _ in range(200)):
         assert tours_conflict(net, f0, f1)
+
+
+def _pairwise_edges(net, tours):
+    return {(min(f0.id, f1.id), max(f0.id, f1.id))
+            for f0, f1 in itertools.combinations(tours, 2) if tours_conflict(net, f0, f1)}
+
+
+def test_graph_on_the_saturation_old_set_matches_pairwise_predicate(monkeypatch):
+    # the old sets a lenient K6 run at 1/2:1:3 plans: many tours on few
+    # paths, some of them what remains of a partly sent tour
+    planned = []
+
+    def recording_build(net, tours):
+        planned.append(list(tours))
+        return build_conflict_graph(net, planned[-1])
+
+    monkeypatch.setattr(ogf, "build_conflict_graph", recording_build)
+    adv = AdversaryType(Fraction(1, 2), 1, 3)
+    net, trace = gen_unbalanced_clique(adv, 6, 2, 600)
+    run_ogf(net, adv, GossipConfig.tdma(), trace, 600, window_override=60, strict=False)
+    old = planned[-1]
+    assert len(old) > 200 and len({f.path for f in old}) <= 12
+    assert min(f.length for f in old) < adv.L
+    assert build_conflict_graph(net, old).edges == _pairwise_edges(net, old)
+
+
+def test_graph_on_repeated_paths_matches_pairwise_predicate():
+    # few distinct paths, each carried by many tours with scattered ids
+    rng = random.Random(19)
+    for _ in range(40):
+        net = random_network(rng, max_n=8)
+        paths = [f.path for f in random_tours(net, rng, rng.randint(1, 6), max_len=4)]
+        k = rng.randint(2, 60)
+        tours = [Tour(tid, 1, rng.choice(paths))
+                 for tid in rng.sample(range(1, 10**6), k)]
+        cg = build_conflict_graph(net, tours)
+        assert cg.edges == _pairwise_edges(net, tours)
+        # tours on one path conflict with each other
+        assert all(cg.adjacent(f0.id, f1.id)
+                   for f0, f1 in itertools.combinations(tours, 2) if f0.path == f1.path)
 
 
 def test_conflict_graph_rejects_self_loop():

@@ -112,6 +112,64 @@ def test_merge_gossip_accepts_pair_payloads():
     assert state.memory["rumors"] == {1: t1, 2: t2}
 
 
+def test_gossip_payload_holds_the_rumors_learned_since_the_last_send():
+    # n = 4: node 2 transmits at offsets 1, 5 and 9
+    t1, t2, t3 = Tour(1, 1, (1, 2)), Tour(2, 1, (2, 3)), Tour(3, 1, (3, 2))
+    sender = NodeState(2, 4, memory={"rumors": {2: t2}})
+    assert ogf.gossip_action(sender, 1).control == {2: t2}
+    ogf.merge_gossip(sender, Message(control={1: t1, 2: t2}))
+    ogf.merge_gossip(sender, Message(control={3: t3}))
+    assert ogf.gossip_action(sender, 5).control == {1: t1, 3: t3}
+    # nothing learned since: the node still transmits, with an empty payload
+    message = ogf.gossip_action(sender, 9)
+    assert message is not LISTEN and message.control == {}
+    assert sender.memory["rumors"] == {2: t2, 1: t1, 3: t3}
+
+
+def test_each_window_gossips_its_snapshot_from_the_start():
+    # node 1 sends its old tour at offset 0 of window 2, and again at offset
+    # 0 of window 3, whose snapshot starts a new rumor dict
+    net = make_path(3)
+    s_n = GossipConfig.tdma().rounds(net.n)
+    w = s_n + 4
+    alg = ogf.OldGoFirst(net, w, GossipConfig.tdma())
+    f = Tour(7, 1, (1, 2, 3))
+    state = NodeState(1, net.n, queue={7: f})
+    assert alg.on_round(state, w + 1).control == {7: f}
+    assert alg.on_round(state, w + 1 + net.n).control == {}
+    assert alg.on_round(state, 2 * w + 1).control == {7: f}
+
+
+def _full_payload_gossip(net, rumors):
+    """Reference TDMA phase 1: in offset o node (o mod n) + 1 sends a copy
+    of its whole rumor dict, and every neighbor merges it."""
+    knowledge = {v: dict(rumors[v]) for v in net.nodes()}
+    for offset in range(net.n * (net.n - 1)):
+        payload = dict(knowledge[offset % net.n + 1])
+        for v in net.neighbors(offset % net.n + 1):
+            knowledge[v].update(payload)
+    return knowledge
+
+
+def test_delta_gossip_matches_full_payloads_on_every_small_network():
+    # several rumors per node, some nodes with none, some ids held by two
+    # nodes (with the one rumor an id names)
+    rng = random.Random(19)
+    for n in (1, 2, 3, 4, 5):
+        for net in all_connected_networks(n):
+            rumors = {v: {} for v in net.nodes()}
+            for tid in rng.sample(range(1, 100), rng.randint(1, 2 * n)):
+                holders = min(n, rng.choice((1, 1, 2)))
+                for v in rng.sample(sorted(net.nodes()), holders):
+                    rumors[v][tid] = f"rumor {tid}"
+            got = tdma_gossip(net, rumors)
+            want = _full_payload_gossip(net, rumors)
+            assert {v: list(d.items()) for v, d in got.items()} == \
+                {v: list(d.items()) for v, d in want.items()}
+            assert all(got[v].keys() == set().union(*rumors.values())
+                       for v in net.nodes())
+
+
 def test_gossip_config_validation():
     with pytest.raises(OgfError, match="S_n"):
         GossipConfig.oracle(0)

@@ -1,9 +1,9 @@
 """Repository-wide checks: the demos run, src/ holds no assert, tours
 are validated only where they enter the library, the callers of the
-hearing rule are pinned, the package's public names, every defaulted
-parameter, Old-Go-First's instance attributes and the fields of `Message`,
-`Heard` and `NodeState` are pinned, and the benchmark's tracer finds every
-function it wraps."""
+hearing rule and of the conflict set are pinned, the package's public
+names, every defaulted parameter, Old-Go-First's instance attributes and
+the fields of `Message`, `Heard` and `NodeState` are pinned, and the
+benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
@@ -88,6 +88,14 @@ def test_hearing_rule_callers_are_pinned():
     any other way would read 0 there."""
     assert _callers("step") == {"engine.run", "coloring._round_delivers",
                                 "ogf.tdma_gossip"}
+
+
+def test_conflict_set_callers_are_pinned():
+    """The conflict set of a path has one definition,
+    `conflict._path_conflict_nodes`; these are the only places that build it."""
+    assert _callers("_path_conflict_nodes") == {
+        "conflict.conflict_node_set", "conflict.build_conflict_graph",
+        "adversary.gen_balanced"}
 
 
 # the names `import radiosim` offers, by defining module; a name added or
