@@ -9,7 +9,7 @@ every rumor on any connected topology.  `tdma_gossip` runs Old-Go-First's
 own phase 1, here with one rumor per node.
 """
 
-from radiosim import make_path, make_random_connected, tdma_gossip
+from radiosim import GossipConfig, make_path, make_random_connected, tdma_gossip
 
 
 def rumor_counts(net):
@@ -19,7 +19,8 @@ def rumor_counts(net):
 
 net = make_path(5)
 counts = rumor_counts(net)
-print(f"path of 5 nodes, rumor counts after {net.n * (net.n - 1)} rounds: {counts}")
+print(f"path of 5 nodes, rumor counts after {GossipConfig.tdma().rounds(net.n)} "
+      f"rounds: {counts}")
 assert counts == [net.n] * net.n
 
 print("random connected topologies, n=7:")

@@ -100,9 +100,7 @@ class StabilityVerdict:
     the exact counting bound, never on this heuristic."""
 
     classification: str  # "bounded" | "growing"
-    max_backlog: int
     slope: float
-    run_length: int
 
     @classmethod
     def from_backlog(cls, backlog: list[int]) -> "StabilityVerdict":
@@ -112,8 +110,7 @@ class StabilityVerdict:
         else:
             slope = 0.0
         growing = slope > GROWTH_SLOPE
-        return cls("growing" if growing else "bounded",
-                   max(backlog, default=0), slope, len(backlog))
+        return cls("growing" if growing else "bounded", slope)
 
 
 def _write(out_dir: str | None, name: str, content: str) -> None:
@@ -207,7 +204,7 @@ def cmd_instability(args) -> int:
     if args.algorithm == "round-robin":
         metrics = engine.run(net, engine.RoundRobin(), trace, horizon)
     else:
-        window = args.window if args.window else 2 * net.n * (net.n - 1)
+        window = args.window or 2 * ogf.GossipConfig.tdma().rounds(net.n)
         gossip = parse_gossip(args.gossip)
         metrics = ogf.run_ogf(net, adv, gossip, trace, horizon,
                               window_override=window, strict=False).metrics
@@ -222,8 +219,9 @@ def cmd_instability(args) -> int:
     print(f"injected {metrics.injected_total} tours of length {adv.L} "
           f"over {k} intervals of {args.t} rounds on K{net.n}")
     print(f"final packet backlog: {measured}  (counting lower bound: {bound})")
-    print(f"verdict: {verdict.classification}  max_backlog={verdict.max_backlog} "
-          f"slope={verdict.slope:.4f} over final half of {verdict.run_length} rounds")
+    print(f"verdict: {verdict.classification}  "
+          f"max_backlog={max(metrics.backlog, default=0)} "
+          f"slope={verdict.slope:.4f} over final half of {len(metrics.backlog)} rounds")
     _write(args.out, "rounds.csv", metrics.rounds_csv())
     _write(args.out, "deliveries.csv", metrics.deliveries_csv())
     _summary("instability", args.seed, net.n, adv, None, metrics.max_latency,

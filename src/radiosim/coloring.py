@@ -11,7 +11,7 @@ on the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import engine
 from .conflict import ConflictGraph, Tour, validate_tour
@@ -132,31 +132,21 @@ def schedule_from_coloring(coloring: Coloring, cg: ConflictGraph) -> Coloring:
     return coloring
 
 
-def _round_delivers(net: Network, actions: dict[int, engine.Action],
-                    group: Sequence[engine.Message]) -> bool:
-    """Simulate one round of `actions`, the action map of `net` in which each
-    tour of the group transmits from its tail (its `Message(tour=f)`) and
-    every other node listens; True iff every head hears its tail, that is,
+def _round_delivers(net: Network, sends: dict[int, engine.Message]) -> bool:
+    """Simulate one round in which each tour of a group transmits from its
+    tail: `sends` maps each tail to its tour's `Message(tour=f)`, and every
+    other node listens.  True iff every head hears its tail, that is,
     hears the tour's own message, which no other node sends.
 
-    The caller keeps the map: it sets a tail when a tour joins the group and
-    resets it to LISTEN when the tour leaves.  Two tours sharing a tail
-    cannot both transmit, so the caller fails such a group without a round.
+    Two tours sharing a tail cannot both transmit, so the caller fails such
+    a group without a round.
     """
-    outcome = engine.step(net, actions)
-    for a in group:
+    outcome = engine.step(net, sends)
+    for a in sends.values():
         out = outcome[a.tour.path[1]]
         if not (type(out) is engine.Heard and out.message is a):
             return False
     return True
-
-
-def _round_inputs(net: Network, tours: list[Tour]) -> tuple[dict, list[engine.Message]]:
-    """What the action maps of `_round_delivers` start from: the all-LISTEN
-    action map of `net`, and each tour's transmission from its tail, in the
-    order of `tours`."""
-    return (dict.fromkeys(net.nodes(), engine.LISTEN),
-            [engine.Message(tour=f) for f in tours])
 
 
 def one_link_tours(net: Network, tours: Iterable[Tour]) -> list[Tour]:
@@ -177,18 +167,16 @@ def verify_schedule(net: Network, tours: Iterable[Tour], sched: Coloring) -> boo
     for f in tour_list:
         if f.id not in sched.assignment:
             raise ColoringError(f"tour {f.id} is not scheduled")
-    listen, sends = _round_inputs(net, tour_list)
-    rounds: dict[int, list[engine.Message]] = {}
-    for f, a in zip(tour_list, sends):
-        rounds.setdefault(sched.assignment[f.id], []).append(a)
+    rounds: dict[int, list[Tour]] = {}
+    for f in tour_list:
+        rounds.setdefault(sched.assignment[f.id], []).append(f)
     for group in rounds.values():
-        actions = listen.copy()
-        for a in group:
-            tail = a.tour.path[0]
-            if actions[tail] is not engine.LISTEN:
+        sends: dict[int, engine.Message] = {}
+        for f in group:
+            if f.source in sends:
                 return False  # two tours of the round share a tail
-            actions[tail] = a
-        if not _round_delivers(net, actions, group):
+            sends[f.source] = engine.Message(tour=f)
+        if not _round_delivers(net, sends):
             return False
     return True
 
@@ -200,8 +188,8 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     Independent of the conflict predicates: feasibility of each round's
     group is decided purely by simulating the hearing rule.  Groups that
     fail stay failed when more transmitters are added, so the search can
-    prune on partial assignments.  Each group keeps its own action map, in
-    which a tour sets its tail when it joins and resets it when it leaves.
+    prune on partial assignments.  Each group is its own map from tail to
+    `Message`, which a tour joins under its tail and leaves.
     """
     tour_list = one_link_tours(net, tours)
     if len(tour_list) > BRUTE_FORCE_CAP:
@@ -210,11 +198,10 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
     if not tour_list:
         return 0
 
-    listen, sends = _round_inputs(net, tour_list)
+    sends = [engine.Message(tour=f) for f in tour_list]
 
     def feasible(t_rounds: int) -> bool:
-        groups: list[list[engine.Message]] = [[] for _ in range(t_rounds)]
-        maps = [listen.copy() for _ in range(t_rounds)]
+        groups: list[dict[int, engine.Message]] = [{} for _ in range(t_rounds)]
 
         def place(i: int, used: int) -> bool:
             if i == len(sends):
@@ -222,16 +209,13 @@ def optimal_sls_length(net: Network, tours: Iterable[Tour]) -> int:
             a = sends[i]
             tail = a.tour.path[0]
             for g in range(min(used + 1, t_rounds)):
-                actions = maps[g]
-                if actions[tail] is not engine.LISTEN:
+                group = groups[g]
+                if tail in group:
                     continue  # a shared tail fails without a round
-                actions[tail] = a
-                groups[g].append(a)
-                if (_round_delivers(net, actions, groups[g])
-                        and place(i + 1, max(used, g + 1))):
+                group[tail] = a
+                if _round_delivers(net, group) and place(i + 1, max(used, g + 1)):
                     return True
-                groups[g].pop()
-                actions[tail] = engine.LISTEN
+                del group[tail]
             return False
 
         return place(0, 0)

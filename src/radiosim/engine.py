@@ -80,9 +80,7 @@ RoundOutcome = dict[int, Outcome]
 def _reject(net: Network, actions: dict[int, Action]) -> NoReturn:
     """Raise the error of a malformed action map, in node order."""
     for v in net.nodes():
-        if v not in actions:
-            raise EngineError(f"node {v} has no action")
-        a = actions[v]
+        a = actions.get(v, LISTEN)
         if a is not LISTEN and not isinstance(a, Message):
             raise EngineError(f"node {v}: invalid action {a!r}")
     extra = sorted(set(actions) - set(net.nodes()))
@@ -90,25 +88,26 @@ def _reject(net: Network, actions: dict[int, Action]) -> NoReturn:
 
 
 def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
-    """Apply the hearing rule to one round of actions.
+    """Apply the hearing rule to one round, given by its transmissions.
 
-    Every node must have exactly one action.  A node hears iff it listens
+    `actions` maps each transmitting node to its `Message`; a node absent
+    from it, or mapped to LISTEN, listens.  A node hears iff it listens
     and exactly one of its neighbors transmits; it sees a collision iff it
     listens and two or more neighbors transmit; otherwise silence (a
-    transmitter always gets silence).  All hearers of one transmitter share
-    one frozen `Heard`.
+    transmitter always gets silence).  The outcome holds every node, in
+    node order.  All hearers of one transmitter share one frozen `Heard`.
 
-    Cost: one C-level comparison of the action map's keys with the node
-    set, one C-level fill of the all-silence outcome, and one Python-level
-    pass over the action map in which a listener costs one identity test
-    and a transmitter its neighborhood.  A transmitter's first silent
-    listening neighbor gets a new `Heard`, each later one the same object,
-    and a neighbor that has heard another transmitter gets COLLISION.  A
-    malformed map is reported as a scan in node order meets it: the first
-    node with no action or an invalid one, else the unknown nodes.
+    Cost: one C-level test that the action map's keys are nodes, one
+    C-level fill of the all-silence outcome, and one Python-level pass
+    over the action map in which a transmitter costs its neighborhood.  A
+    transmitter's first silent listening neighbor gets a new `Heard`, each
+    later one the same object, and a neighbor that has heard another
+    transmitter gets COLLISION.  A malformed map is reported as a scan in
+    node order meets it: the first node with an invalid action, else the
+    unknown nodes.
     """
     adj = net._adj
-    if actions.keys() != adj.keys():
+    if not actions.keys() <= adj.keys():
         _reject(net, actions)
     outcome: RoundOutcome = dict.fromkeys(adj, SILENCE)
     for v, a in actions.items():
@@ -118,7 +117,7 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
             _reject(net, actions)
         h = None
         for u in adj[v]:
-            if actions[u] is not LISTEN:
+            if actions.get(u, LISTEN) is not LISTEN:
                 continue
             out = outcome[u]
             if out is SILENCE:
@@ -246,7 +245,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         order; a sleeping node listens.  A sent tour must be the `Tour`
         object queued at the sender under its id, and its path must pass
         through the sender short of its end;
-    (3) apply the hearing rule to the round's actions (`step`);
+    (3) apply the hearing rule to the round's transmissions (`step`);
     (4) for each node that heard a message, in node order: wake it, pass
         the message to `on_hear`, and if the node follows the sender on a
         heard tour's path, move the tour one hop and record its delivery
@@ -265,9 +264,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     `step`, a round's Python-level work is proportional to its events: the
     awake nodes' callbacks, the transmitters' neighborhoods and the heard
     messages.  Only `step`, from whose calls the benchmark's tracer counts
-    node-rounds and radio events, costs O(n) in every round: a C-level
-    fill and one identity test per node, next to the same events' work.
-    Fully deterministic.
+    node-rounds and radio events, costs O(n) in every round: the C-level
+    fill of its dense outcome.  Fully deterministic.
 
     `observer(round, sending, outcome)` is called after step (3) with the
     message of each transmitting node and every node's outcome; tests and
@@ -281,8 +279,6 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     by_round = trace.by_round()
     states = {v: NodeState(v, net.n) for v in net.nodes()}
     neighbors = {v: sorted(net._adj[v]) for v in states}  # each in node order
-    # the round's actions: all LISTEN again after each round's `step`
-    actions: dict[int, Action] = dict.fromkeys(states, LISTEN)
 
     metrics = Metrics()
     hops = 0  # links still to cross, over all queued tours
@@ -314,8 +310,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             a = algorithm.on_round(state, r)
             if a is LISTEN:
                 continue
+            sending[v] = a  # `step` rejects an invalid action
             if isinstance(a, Message):
-                sending[v] = a
                 f = a.tour
                 if f is not None:
                     if state.queue.get(f.id) is not f:
@@ -328,11 +324,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                             f"node {v} round {r}: transmitted tour {f.id} "
                             f"does not pass through it short of its end")
                     next_hop[v] = path[path.index(v) + 1]
-            actions[v] = a
 
-        outcome = step(net, actions)
-        for v in sending:
-            actions[v] = LISTEN
+        outcome = step(net, sending)
         if observer is not None:
             observer(r, sending, outcome)
 

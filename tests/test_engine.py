@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiosim import (COLLISION, LISTEN, SILENCE, EngineError,
-                      Heard, InjectionTrace, Message, Metrics, NodeState,
-                      RoundRobin, RoutingAlgorithm, Tour, TourError,
-                      make_clique, make_path, make_random_connected, run, step)
+from radiosim import (COLLISION, LISTEN, SILENCE, AdversaryType, EngineError,
+                      GossipConfig, Heard, InjectionTrace, Message, Metrics,
+                      NodeState, RoundRobin, RoutingAlgorithm, Tour, TourError,
+                      engine, gen_balanced, make_clique, make_path,
+                      make_random_connected, run, run_ogf, step)
 from radiosim.engine import Delivery
 from conftest import MALFORMED_TOURS, all_connected_networks, random_simple_path
 
@@ -70,10 +71,10 @@ def test_transmitters_with_disjoint_hearers_give_two_heards():
     assert outcome[1] is not outcome[4]
 
 
-def test_missing_action_rejected():
-    net = make_path(2)
-    with pytest.raises(EngineError, match="no action"):
-        step(net, {1: LISTEN})
+def test_absent_node_listens():
+    msg = _tx()
+    outcome = step(make_path(2), {1: msg})
+    assert outcome == {1: SILENCE, 2: Heard(1, msg)}
 
 
 def test_unknown_node_action_rejected():
@@ -91,16 +92,16 @@ def test_invalid_action_rejected():
 @pytest.mark.parametrize("actions, message", [
     ({1: "x"}, "node 1: invalid action 'x'"),
     ({1: "x", 2: LISTEN, 7: LISTEN}, "node 1: invalid action 'x'"),
-    ({2: LISTEN, 7: LISTEN}, "node 1 has no action"),
+    ({2: LISTEN, 7: LISTEN}, r"actions for unknown nodes \[7\]"),
     ({2: "y", 1: "x"}, "node 1: invalid action 'x'"),
     ({2: LISTEN, 1: LISTEN, 7: LISTEN, 5: LISTEN},
      r"actions for unknown nodes \[5, 7\]"),
 ], ids=["invalid-before-missing", "invalid-before-unknown",
-        "missing-before-unknown", "invalid-in-node-order", "unknown-sorted"])
+        "absent-and-unknown", "invalid-in-node-order", "unknown-sorted"])
 def test_malformed_actions_report_first_error_in_node_order(actions, message):
     """A malformed action map is reported as a scan in node order meets it,
-    whatever the map's own order: the first node with no action or an
-    invalid one, else the unknown nodes."""
+    whatever the map's own order: the first node with an invalid action,
+    else the unknown nodes."""
     with pytest.raises(EngineError, match=f"^{message}$"):
         step(make_path(2), actions)
 
@@ -116,6 +117,7 @@ def test_hearing_rule_exhaustive_small():
                 actions = {v: _tx(f"m{v}") if v in transmitters else LISTEN
                            for v in nodes}
                 outcome = step(net, actions)
+                assert step(net, {v: actions[v] for v in transmitters}) == outcome
                 for v in nodes:
                     if v in transmitters:
                         assert outcome[v] is SILENCE
@@ -160,6 +162,7 @@ def test_step_matches_direct_rule_on_random_networks(n, p, topology_seed, data):
                    else LISTEN) for v in net.nodes()}
     outcome = step(net, actions)
     assert list(outcome) == list(net.nodes())
+    assert step(net, {v: actions[v] for v in transmitters}) == outcome
     expected = _direct_outcome(net, actions)
     for v in net.nodes():
         out = outcome[v]
@@ -302,6 +305,40 @@ def test_observer_and_on_hear_see_the_shared_heard():
     assert outcome[3] is outcome[2] and outcome[4] is outcome[2]
     assert heard == [(2, 1, msg), (3, 1, msg), (4, 1, msg)]
     assert all(message is msg for _, _, message in heard)
+
+
+@pytest.mark.parametrize("scenario", ["round-robin", "ogf-strict"])
+def test_run_gives_step_only_the_rounds_transmissions(monkeypatch, scenario):
+    """`run` hands `step` the round's transmissions alone: every value is a
+    `Message`, and the keys are the senders that the observer sees."""
+    passed, senders = [], []
+    original_step, original_run = engine.step, engine.run
+
+    def recording_step(net, actions):
+        passed.append(dict(actions))
+        return original_step(net, actions)
+
+    def observed_run(net, algorithm, trace, horizon, observer=None):
+        def both(r, sending, outcome):
+            senders.append(set(sending))
+            if observer is not None:
+                observer(r, sending, outcome)
+        return original_run(net, algorithm, trace, horizon, observer=both)
+
+    monkeypatch.setattr(engine, "step", recording_step)
+    monkeypatch.setattr(engine, "run", observed_run)
+    if scenario == "round-robin":
+        tours = tuple(Tour(i, i, (i % 5 + 1, (i + 1) % 5 + 1)) for i in range(1, 8))
+        engine.run(make_clique(5), RoundRobin(), InjectionTrace(tours, 10), 60)
+    else:
+        net, adv = make_path(4), AdversaryType.parse("1/8:1:2")
+        trace = gen_balanced(net, AdversaryType.parse("1/16:1:2"), 11, 120)
+        run_ogf(net, adv, GossipConfig.tdma(), trace, 120)
+    assert len(passed) == len(senders) > 0
+    assert any(passed)
+    for actions, keys in zip(passed, senders):
+        assert all(isinstance(a, Message) for a in actions.values())
+        assert set(actions) == keys
 
 
 @pytest.mark.parametrize("tour", [Tour(9, 1, (2, 3)), Tour(9, 1, (2, 1))],
