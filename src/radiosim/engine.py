@@ -263,13 +263,18 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     node's `wake` still equals that round when it comes due.  Outside
     `step`, a round's Python-level work is proportional to its events: the
     awake nodes' callbacks, the transmitters' neighborhoods and the heard
-    messages.  Only `step`, from whose calls the benchmark's tracer counts
-    node-rounds and radio events, costs O(n) in every round: the C-level
-    fill of its dense outcome.  Fully deterministic.
+    messages.  Step (3) calls `step`, whose C-level fill of its dense
+    outcome costs O(n), only in a round with a transmitter: a round in
+    which no node transmits has silence at every node and no hearer.  The
+    benchmark's tracer counts node-rounds and radio events from `step`'s
+    calls.  Fully deterministic.
 
-    `observer(round, sending, outcome)` is called after step (3) with the
-    message of each transmitting node and every node's outcome; tests and
-    harnesses use it to check hearing guarantees without touching queues.
+    `observer(round, sending, outcome)` is called after step (3), in every
+    round, with the message of each transmitting node and every node's
+    outcome, in node order; tests and harnesses use it to check hearing
+    guarantees without touching queues.  A silent round passes an empty
+    `sending` map and the all-SILENCE outcome that every silent round of
+    the run shares, so an observer must treat the outcome as read-only.
     """
     if horizon < 0:
         raise EngineError(f"horizon must be >= 0, got {horizon}")
@@ -287,6 +292,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     with_size = [len(states)]  # with_size[k]: nodes whose queue holds k tours
     top = 0  # the largest queue
     awake = set(states)  # the nodes that act in the coming round
+    silent: RoundOutcome = dict.fromkeys(net._adj, SILENCE)  # shared, read-only
     due: dict[int, list[int]] = {}  # round -> nodes that set `wake` to it
 
     for r in range(1, horizon + 1):
@@ -325,7 +331,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                             f"does not pass through it short of its end")
                     next_hop[v] = path[path.index(v) + 1]
 
-        outcome = step(net, sending)
+        outcome = step(net, sending) if sending else silent
         if observer is not None:
             observer(r, sending, outcome)
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from radiosim import (COLLISION, LISTEN, SILENCE, AdversaryType, EngineError,
                       GossipConfig, Heard, InjectionTrace, Message, Metrics,
                       NodeState, RoundRobin, RoutingAlgorithm, Tour, TourError,
-                      engine, gen_balanced, make_clique, make_path,
-                      make_random_connected, run, run_ogf, step)
+                      compute_window_bound, engine, gen_balanced, make_clique,
+                      make_path, make_random_connected, run, run_ogf, step)
 from radiosim.engine import Delivery
 from conftest import MALFORMED_TOURS, all_connected_networks, random_simple_path
 
@@ -96,7 +96,7 @@ def test_invalid_action_rejected():
     ({2: "y", 1: "x"}, "node 1: invalid action 'x'"),
     ({2: LISTEN, 1: LISTEN, 7: LISTEN, 5: LISTEN},
      r"actions for unknown nodes \[5, 7\]"),
-], ids=["invalid-before-missing", "invalid-before-unknown",
+], ids=["invalid-action", "invalid-before-unknown",
         "absent-and-unknown", "invalid-in-node-order", "unknown-sorted"])
 def test_malformed_actions_report_first_error_in_node_order(actions, message):
     """A malformed action map is reported as a scan in node order meets it,
@@ -307,38 +307,100 @@ def test_observer_and_on_hear_see_the_shared_heard():
     assert all(message is msg for _, _, message in heard)
 
 
-@pytest.mark.parametrize("scenario", ["round-robin", "ogf-strict"])
-def test_run_gives_step_only_the_rounds_transmissions(monkeypatch, scenario):
-    """`run` hands `step` the round's transmissions alone: every value is a
-    `Message`, and the keys are the senders that the observer sees."""
-    passed, senders = [], []
-    original_step, original_run = engine.step, engine.run
-
-    def recording_step(net, actions):
-        passed.append(dict(actions))
-        return original_step(net, actions)
+def _observe_every_run(monkeypatch, watch):
+    """Make each `engine.run` call, `run_ogf`'s included, also pass every
+    round to `watch(net, sending, outcome)`, before the caller's observer."""
+    original_run = engine.run
 
     def observed_run(net, algorithm, trace, horizon, observer=None):
         def both(r, sending, outcome):
-            senders.append(set(sending))
+            watch(net, sending, outcome)
             if observer is not None:
                 observer(r, sending, outcome)
         return original_run(net, algorithm, trace, horizon, observer=both)
 
-    monkeypatch.setattr(engine, "step", recording_step)
     monkeypatch.setattr(engine, "run", observed_run)
+
+
+@pytest.mark.parametrize("scenario", ["round-robin", "ogf-strict"])
+def test_run_gives_step_only_the_rounds_transmissions(monkeypatch, scenario):
+    """`run` calls `step` once in each round with a transmitter, with the
+    round's transmissions alone: every value is a `Message`, and the keys
+    are the senders that the observer sees.  A silent round makes no call,
+    and its outcome maps every node, in node order, to SILENCE."""
+    calls, rounds = [], []  # `step` calls since the last round; each round
+    original_step = engine.step
+
+    def recording_step(net, actions):
+        calls.append(dict(actions))
+        return original_step(net, actions)
+
+    def record(net, sending, outcome):
+        rounds.append((dict(sending), list(outcome.items()), calls[:]))
+        calls.clear()
+
+    monkeypatch.setattr(engine, "step", recording_step)
+    _observe_every_run(monkeypatch, record)
     if scenario == "round-robin":
+        net = make_clique(5)
         tours = tuple(Tour(i, i, (i % 5 + 1, (i + 1) % 5 + 1)) for i in range(1, 8))
-        engine.run(make_clique(5), RoundRobin(), InjectionTrace(tours, 10), 60)
+        engine.run(net, RoundRobin(), InjectionTrace(tours, 10), 60)
     else:
         net, adv = make_path(4), AdversaryType.parse("1/8:1:2")
         trace = gen_balanced(net, AdversaryType.parse("1/16:1:2"), 11, 120)
         run_ogf(net, adv, GossipConfig.tdma(), trace, 120)
-    assert len(passed) == len(senders) > 0
-    assert any(passed)
-    for actions, keys in zip(passed, senders):
-        assert all(isinstance(a, Message) for a in actions.values())
-        assert set(actions) == keys
+    assert not calls
+    silence = [(v, SILENCE) for v in net.nodes()]
+    assert any(sending for sending, _, _ in rounds)
+    assert not all(sending for sending, _, _ in rounds)
+    for sending, outcome, passed in rounds:
+        if sending:
+            assert passed == [sending]
+            assert all(isinstance(a, Message) for a in sending.values())
+        else:
+            assert passed == []
+            assert outcome == silence  # a token equals only itself
+
+
+def _assert_outcome_is_the_hearing_rule(net, sending, outcome):
+    """`outcome` equals `step(net, sending)` node for node, in node order;
+    a `Heard` must name the same sender and carry the very same message."""
+    expected = step(net, sending)
+    assert list(outcome) == list(expected) == list(net.nodes())
+    for v, want in expected.items():
+        got = outcome[v]
+        if isinstance(want, Heard):
+            assert isinstance(got, Heard), (v, got, want)
+            assert got.sender == want.sender and got.message is want.message
+        else:
+            assert got is want, (v, got, want)
+
+
+@pytest.mark.parametrize("scenario", ["ogf-sparse-oracle", "round-robin"])
+def test_every_rounds_outcome_is_the_hearing_rule(monkeypatch, scenario):
+    """In every round, silent or not, the observer's outcome is what the
+    hearing rule gives for that round's transmissions."""
+    rounds = []
+
+    def check(net, sending, outcome):
+        rounds.append(bool(sending))
+        _assert_outcome_is_the_hearing_rule(net, sending, outcome)
+
+    _observe_every_run(monkeypatch, check)
+    if scenario == "round-robin":
+        net, rng, tours = make_random_connected(12, 0.3, 5), random.Random(5), []
+        while len(tours) < 30:
+            path = random_simple_path(net, rng, 3)
+            if len(path) >= 2:
+                tours.append(Tour(len(tours) + 1, rng.randint(1, 150), path))
+        engine.run(net, RoundRobin(), InjectionTrace(tuple(tours), 200), 200)
+    else:
+        net = make_random_connected(40, 0.05, 17)
+        adv, gossip = AdversaryType.parse("1/8:1:2"), GossipConfig.oracle(40)
+        horizon = 3 * compute_window_bound(adv, gossip.rounds(net.n))
+        trace = gen_balanced(net, AdversaryType.parse("1/16:1:2"), 3, horizon)
+        run_ogf(net, adv, gossip, trace, horizon)
+    assert True in rounds and False in rounds
 
 
 @pytest.mark.parametrize("tour", [Tour(9, 1, (2, 3)), Tour(9, 1, (2, 1))],
