@@ -142,9 +142,10 @@ def _round_delivers(net: Network, sends: dict[int, engine.Message]) -> bool:
     a group without a round.
     """
     outcome = engine.step(net, sends)
+    Heard = engine.Heard
     for a in sends.values():
         out = outcome[a.tour.path[1]]
-        if not (type(out) is engine.Heard and out.message is a):
+        if type(out) is not Heard or out.message is not a:
             return False
     return True
 

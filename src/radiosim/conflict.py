@@ -19,7 +19,7 @@ class TourError(ValueError):
     """Raised for invalid tours or conflict-graph inputs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tour:
     """A packet with its injection round and oriented path."""
 

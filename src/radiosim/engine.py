@@ -35,7 +35,7 @@ class EngineError(ValueError):
     """Raised for invalid actions or malformed runs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A transmission, and the action of a node that transmits: at most one
     tour from the sender's queue, forwarded one hop along its path, plus
@@ -67,7 +67,7 @@ COLLISION = _Token("COLLISION")
 Action = _Token | Message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heard:
     sender: int
     message: Message
@@ -97,26 +97,29 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     transmitter always gets silence).  The outcome holds every node, in
     node order.  All hearers of one transmitter share one frozen `Heard`.
 
-    Cost: one C-level test that the action map's keys are nodes, one
-    C-level fill of the all-silence outcome, and one Python-level pass
-    over the action map in which a transmitter costs its neighborhood.  A
-    transmitter's first silent listening neighbor gets a new `Heard`, each
-    later one the same object, and a neighbor that has heard another
-    transmitter gets COLLISION.  A malformed map is reported as a scan in
-    node order meets it: the first node with an invalid action, else the
-    unknown nodes.
+    Cost: one C-level copy of the network's all-silence outcome, which
+    the first call on the network builds, and one Python-level pass over
+    the action map, in which each entry costs a lookup of its node and a
+    transmitter its neighborhood.  The outcome is a new dict on every
+    call, so a caller may mutate it.  A transmitter's first silent
+    listening neighbor gets a new `Heard`, each later one the same object,
+    and a neighbor that has heard another transmitter gets COLLISION.  A
+    malformed map is reported as a scan in node order meets it: the first
+    node with an invalid action, else the unknown nodes.
     """
     adj = net._adj
-    if not actions.keys() <= adj.keys():
-        _reject(net, actions)
-    outcome: RoundOutcome = dict.fromkeys(adj, SILENCE)
+    silent = net._silent
+    if silent is None:
+        silent = net._silent = dict.fromkeys(adj, SILENCE)
+    outcome: RoundOutcome = silent.copy()
     for v, a in actions.items():
-        if a is LISTEN:
+        nbrs = adj.get(v)
+        if a is LISTEN and nbrs is not None:
             continue
-        if not isinstance(a, Message):
+        if nbrs is None or not isinstance(a, Message):
             _reject(net, actions)
         h = None
-        for u in adj[v]:
+        for u in nbrs:
             if actions.get(u, LISTEN) is not LISTEN:
                 continue
             out = outcome[u]
@@ -178,7 +181,7 @@ class RoundRobin(RoutingAlgorithm):
         return Message(tour=min(state.queue.values(), key=_INJECTION_ORDER))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     tour_id: int
     injected: int
@@ -263,7 +266,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     node's `wake` still equals that round when it comes due.  Outside
     `step`, a round's Python-level work is proportional to its events: the
     awake nodes' callbacks, the transmitters' neighborhoods and the heard
-    messages.  Step (3) calls `step`, whose C-level fill of its dense
+    messages.  Step (3) calls `step`, whose C-level copy of its dense
     outcome costs O(n), only in a round with a transmitter: a round in
     which no node transmits has silence at every node and no hearer.  The
     benchmark's tracer counts node-rounds and radio events from `step`'s
@@ -275,6 +278,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     guarantees without touching queues.  A silent round passes an empty
     `sending` map and the all-SILENCE outcome that every silent round of
     the run shares, so an observer must treat the outcome as read-only.
+    That outcome is the run's own dict, not the one `step` copies, so an
+    observer that mutates it still changes no `step` outcome.
     """
     if horizon < 0:
         raise EngineError(f"horizon must be >= 0, got {horizon}")

@@ -1,8 +1,9 @@
 """Radio network topologies.
 
 A network is a simple undirected connected graph whose nodes are named
-1..n.  Instances are immutable after construction and can be shared
-freely between concurrent simulation runs.
+1..n.  Instances are immutable after construction, apart from a private
+cache of derived data, and can be shared freely between concurrent
+simulation runs.
 """
 
 from __future__ import annotations
@@ -22,16 +23,22 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 class Network:
     """Simple undirected connected graph over nodes 1..n.
 
-    Adjacency is precomputed, so ``neighbors`` is an O(1) lookup.
+    Adjacency is precomputed, so ``neighbors`` is an O(1) lookup.  The
+    private ``_silent`` slot holds derived data only: the outcome of a
+    round in which no node transmits, every node mapped to SILENCE in node
+    order, which ``engine.step`` builds on its first call on the network
+    and copies on each call.  It is never handed out, so it stays the same
+    for the network's lifetime.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_silent")
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]],
                  adj: dict[int, frozenset[int]]):
         self.n = n
         self.edges = edges
         self._adj = adj
+        self._silent = None
 
     def neighbors(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:

@@ -127,8 +127,9 @@ def tdma_gossip(net: Network, rumors: dict[int, dict]) -> dict[int, dict]:
     states = {v: NodeState(v, net.n, memory={"rumors": dict(rumors[v])})
               for v in net.nodes()}
     for offset in range(GossipConfig.tdma().rounds(net.n)):
-        actions = {v: gossip_action(state, offset) for v, state in states.items()}
-        for v, out in engine.step(net, actions).items():
+        sending = {v: a for v, state in states.items()
+                   if (a := gossip_action(state, offset)) is not LISTEN}
+        for v, out in engine.step(net, sending).items():
             if isinstance(out, engine.Heard):
                 merge_gossip(states[v], out.message)
     return {v: state.memory["rumors"] for v, state in states.items()}

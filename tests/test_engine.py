@@ -108,8 +108,10 @@ def test_malformed_actions_report_first_error_in_node_order(actions, message):
 
 def test_hearing_rule_exhaustive_small():
     """step matches a direct statement of the hearing rule on every labeled
-    connected network with up to 4 nodes and every transmitter subset."""
-    for n in (1, 2, 3, 4):
+    connected network with up to 5 nodes and every transmitter subset; the
+    outcome is in node order, and each transmitter's hearers share one
+    `Heard`."""
+    for n in (1, 2, 3, 4, 5):
         for net in all_connected_networks(n):
             nodes = list(net.nodes())
             for tx_bits in range(1 << n):
@@ -117,7 +119,13 @@ def test_hearing_rule_exhaustive_small():
                 actions = {v: _tx(f"m{v}") if v in transmitters else LISTEN
                            for v in nodes}
                 outcome = step(net, actions)
+                assert list(outcome) == nodes
                 assert step(net, {v: actions[v] for v in transmitters}) == outcome
+                heards = {}  # sender -> the ids of its hearers' Heards
+                for out in outcome.values():
+                    if isinstance(out, Heard):
+                        heards.setdefault(out.sender, set()).add(id(out))
+                assert all(len(ids) == 1 for ids in heards.values())
                 for v in nodes:
                     if v in transmitters:
                         assert outcome[v] is SILENCE
@@ -130,6 +138,39 @@ def test_hearing_rule_exhaustive_small():
                         assert outcome[v] is COLLISION
                     else:
                         assert outcome[v] is SILENCE
+
+
+def test_each_outcome_is_a_fresh_dict():
+    """step copies the network's all-silence outcome on every call, so a
+    caller that mutates one outcome changes no later one."""
+    net = make_path(3)
+    msg = _tx("m")
+    first = step(net, {1: msg})
+    first[2] = COLLISION
+    first[3] = Heard(1, msg)
+    first[9] = SILENCE
+    assert step(net, {}) == {1: SILENCE, 2: SILENCE, 3: SILENCE}
+    second = step(net, {1: msg})
+    assert second is not first
+    assert list(second.items()) == [(1, SILENCE), (2, Heard(1, msg)), (3, SILENCE)]
+    second.clear()
+    assert list(step(net, {3: msg})) == [1, 2, 3]
+
+
+def test_observer_mutating_the_silent_outcome_changes_no_run():
+    """An observer that overwrites the outcome that silent rounds share
+    leaves every later `step` call, and so the run's metrics, unchanged."""
+    net = make_path(4)
+    trace = InjectionTrace(tuple(Tour(i, i, (1, 2, 3, 4)) for i in range(1, 4)), 3)
+
+    def scribble(r, sending, outcome):
+        if not sending:
+            for v in outcome:
+                outcome[v] = COLLISION
+
+    plain = run(net, RoundRobin(), trace, 40)
+    scribbled = run(net, RoundRobin(), trace, 40, observer=scribble)
+    assert plain.deliveries and scribbled == plain
 
 
 def _direct_outcome(net, actions) -> dict:

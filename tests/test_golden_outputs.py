@@ -1,11 +1,13 @@
 """Seeded CLI outputs, pinned byte for byte.
 
-Six seeded runs of `cli.main` cover an Old-Go-First run whose rounds are
+Nine seeded runs of `cli.main` cover an Old-Go-First run whose rounds are
 mostly silent (a sparse 40-node graph with oracle gossip), one with TDMA
-gossip, a clique and a path with oracle gossip, and the clique saturation
-run under each algorithm.  Each run's exit code, stdout, stderr and every
-file it writes under `--out` are hashed, and the hashes must equal
-`golden_outputs.json`.  The set runs in two fresh interpreters, under
+gossip, a clique and a path with oracle gossip, the clique saturation run
+under each algorithm, two brute-force static link scheduling checks on
+random 8-node graphs, and a TDMA gossip check on a random 10-node graph.
+Each run's exit code, stdout, stderr and every file it writes under
+`--out` (for the commands that take it) are hashed, and the hashes must
+equal `golden_outputs.json`.  The set runs in two fresh interpreters, under
 PYTHONHASHSEED 0 and 12345, so an output that depends on set or dict
 iteration order over hashed keys shows up as a diff.
 
@@ -47,7 +49,13 @@ RUNS = {
                                 "--algorithm", "round-robin"],
     "instability-ogf": ["instability", "--adv", "1/2:1:3", "--n", "6",
                         "--t", "2", "--intervals", "200", "--algorithm", "ogf"],
+    "sls-random8-seed1": ["sls", "--network", "gen:random:8:0.5",
+                          "--gen-tours", "9", "--seed", "1"],
+    "sls-random8-seed2": ["sls", "--network", "gen:random:8:0.5",
+                          "--gen-tours", "9", "--seed", "2"],
+    "gossip-check-random10": ["gossip-check", "--network", "gen:random:10:0.3"],
 }
+NO_OUT = {"gossip-check"}  # commands that write no files and take no --out
 
 
 def _sha(data: str) -> str:
@@ -61,10 +69,12 @@ def run_all() -> dict[str, dict]:
     digests = {}
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as out:
+            if argv[0] not in NO_OUT:
+                argv = [*argv, "--out", out]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
-                code = cli.main([*argv, "--out", out])
+                code = cli.main(argv)
             files = {p.name: _sha(p.read_text())
                      for p in sorted(Path(out).iterdir())}
         digests[name] = {"exit": code, "stdout": _sha(stdout.getvalue()),

@@ -2,8 +2,9 @@
 are validated only where they enter the library, the callers of the
 hearing rule and of the conflict set are pinned, the package's public
 names, every defaulted parameter, Old-Go-First's instance attributes and
-the fields of `Message`, `Heard` and `NodeState` are pinned, and the
-benchmark's tracer finds every function it wraps."""
+the fields of `Message`, `Heard` and `NodeState` are pinned, the radio's
+value types are slotted and frozen, and the benchmark's tracer finds
+every function it wraps."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import pytest
 import radiosim
 from radiosim import (GossipConfig, Heard, InjectionTrace, Message, NodeState,
                       OldGoFirst, Tour, make_path, run)
+from radiosim.engine import Delivery
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -189,6 +191,21 @@ def test_message_and_node_state_fields_are_pinned():
 
 def test_heard_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(Heard)) == HEARD_FIELDS
+
+
+# the radio's value types are slotted and frozen: an instance has no
+# `__dict__`, and a field cannot be assigned
+SLOTTED_VALUES = [Heard(1, Message()), Message(control="m"), Tour(1, 1, (1, 2)),
+                  Delivery(1, 1, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("value", SLOTTED_VALUES,
+                         ids=lambda v: type(v).__name__)
+def test_value_types_are_slotted_and_frozen(value):
+    assert not hasattr(value, "__dict__")
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
 
 
 def test_tracer_targets_exist():
