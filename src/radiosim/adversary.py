@@ -243,7 +243,8 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     the path has that many links or meets a dead end.  A walk that stays at
     its start is dropped; any other candidate becomes a `Tour`, under the
     next free id, only if it is admitted.  Apart from the random draws, an
-    attempt costs its walk, its conflict nodes and their envelope steps.
+    attempt costs its walk and the envelope steps of its conflict nodes,
+    which each call builds once per distinct path.
     """
     if classify(adv) is not Balance.BALANCED:
         raise AdversaryError(f"gen_balanced needs a balanced type, got {adv}")
@@ -256,21 +257,27 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     randrange, choice = rng.randrange, rng.choice
     neighbors = {v: sorted(net._adj[v]) for v in net.nodes()}
     envelope = _LoadEnvelope(adv)
+    # each distinct candidate path's conflict nodes, as a tuple: smaller than a set
+    conflict_nodes: dict[tuple[int, ...], tuple[int, ...]] = {}
     tours: list[Tour] = []
     for r in range(1, horizon + 1):
         for _ in range(attempts_per_round):
             links = randrange(1, adv.L + 1)
             v = randrange(1, net.n + 1)
             path = [v]
-            for _ in range(links):
-                options = [u for u in neighbors[v] if u not in path]
-                if not options:
-                    break
+            options = neighbors[v]  # no node neighbors itself
+            while options:
                 v = choice(options)
                 path.append(v)
+                if len(path) > links:
+                    break
+                options = [u for u in neighbors[v] if u not in path]
             if len(path) > 1:
                 path = tuple(path)
-                if envelope.admit(_path_conflict_nodes(net, path), r):
+                nodes = conflict_nodes.get(path)
+                if nodes is None:
+                    nodes = conflict_nodes[path] = tuple(_path_conflict_nodes(net, path))
+                if envelope.admit(nodes, r):
                     tours.append(Tour(len(tours) + 1, r, path))
     return InjectionTrace(tuple(tours), horizon)
 

@@ -194,13 +194,18 @@ class OldGoFirst(RoutingAlgorithm):
     offset S(n) (the plan).  In phase 1 an oracle node sleeps to S(n) and a
     TDMA node to its next transmit offset; in phase 2 a node with no
     resident old tour sleeps to the window's end, and one that holds an old
-    tour stays awake.  Residency and the queue bound change only when a
-    tour is injected or arrives, and both wake the node, so every check
-    still fires in the round it would fire without sleeping.
+    tour stays awake.  `on_round` keeps the wake round it sets in
+    `memory["wake"]`, and `on_hear` restores it after whatever the node
+    only overhears: TDMA rumors, which change no action before its next
+    transmit offset, and a phase-2 tour whose next hop is another node,
+    which neither enters nor leaves this node's queue.  Only a tour
+    addressed to the node leaves it awake.  Residency and the queue bound
+    change only when a tour is injected or arrives, and both wake the node,
+    so every check still fires in the round it would fire without sleeping.
 
     A node scans its queue for its old tours once per window, when it
     installs the plan, and keeps them in `memory["resident"]` by color.
-    From then on only the phase-2 tours it heard and the one it sent can
+    From then on only the phase-2 tours sent to it and the one it sent can
     have changed it: `memory["moved"]` collects them, and the next
     `on_round` settles each against the queue.  So the phase-2 action and
     the sleep rule are dict lookups, and an arrival that breaks per-color
@@ -308,12 +313,12 @@ class OldGoFirst(RoutingAlgorithm):
         if offset < self.s_n:
             if self.gossip.mode == "oracle":
                 action = LISTEN
-                state.wake = start + self.s_n
+                wake = start + self.s_n
             else:
                 action = gossip_action(state, offset)
                 # the node's next transmit offset, or the plan round
                 nxt = offset + (state.name - 2 - offset) % state.n + 1
-                state.wake = start + min(nxt, self.s_n)
+                wake = start + min(nxt, self.s_n)
         else:
             plan, resident = self._resident(state, index)
             # phase-2 offset o lies in super-round o // (delta+1) + 1 at color
@@ -329,7 +334,8 @@ class OldGoFirst(RoutingAlgorithm):
                 action = Message(tour=f)
                 state.memory["moved"].append(f.id)
             # with no old tour here the node only listens until the window ends
-            state.wake = 0 if resident else start + self.w
+            wake = 0 if resident else start + self.w
+        state.wake = state.memory["wake"] = wake
 
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:
             raise GuaranteeError(
@@ -339,11 +345,15 @@ class OldGoFirst(RoutingAlgorithm):
 
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
         # all nodes run this policy: phase-1 messages carry control only,
-        # phase-2 ones a tour only
+        # phase-2 ones a tour only.  Only a tour addressed to this node can
+        # change what it does, so anything else puts it back to sleep.
+        f = message.tour
         if message.control is not None:
             merge_gossip(state, message)
-        elif message.tour is not None:
-            state.memory.setdefault("moved", []).append(message.tour.id)
+        elif f is not None and f.path[f.path.index(sender) + 1] == state.name:
+            state.memory.setdefault("moved", []).append(f.id)
+            return
+        state.wake = state.memory.get("wake", 0)
 
 
 @dataclass

@@ -9,7 +9,8 @@ import pytest
 
 from radiosim import adversary
 from radiosim import (AdversaryError, AdversaryType, Balance, InjectionTrace,
-                      LoadLedger, Tour, build_network, classify, format_trace,
+                      LoadLedger, Tour, build_network, classify,
+                      conflict_node_set, format_trace,
                       gen_balanced, gen_unbalanced_clique, make_clique, make_path,
                       make_random_connected, node_load, parse_trace, verify_admissible,
                       verify_admissible_all_intervals)
@@ -251,6 +252,47 @@ def test_gen_balanced_matches_reference_generator():
         dead_ends += stopped
         tours += len(expected.injections)
     assert dead_ends > 0 and tours > 0
+
+
+def _filtered_walk_gen_balanced(net, adv, seed, horizon, attempts):
+    """gen_balanced with the unvisited-neighbor filter on every hop, the
+    first included, and each candidate's conflict set built afresh."""
+    rng = random.Random(seed)
+    neighbors = {v: sorted(net.neighbors(v)) for v in net.nodes()}
+    envelope = adversary._LoadEnvelope(adv)
+    tours = []
+    for r in range(1, horizon + 1):
+        for _ in range(attempts):
+            links = rng.randrange(1, adv.L + 1)
+            v = rng.randrange(1, net.n + 1)
+            path = [v]
+            for _ in range(links):
+                options = [u for u in neighbors[v] if u not in path]
+                if not options:
+                    break
+                v = rng.choice(options)
+                path.append(v)
+            if len(path) > 1:
+                f = Tour(len(tours) + 1, r, tuple(path))
+                if envelope.admit(conflict_node_set(net, f), r):
+                    tours.append(f)
+    return InjectionTrace(tuple(tours), horizon)
+
+
+@pytest.mark.parametrize("net", [
+    make_path(7), make_clique(6), make_random_connected(12, 0.3, 8),
+    build_network(1, []),
+], ids=["path7", "clique6", "random12", "single-node"])
+def test_gen_balanced_matches_filtered_walk_generator(net):
+    """Long runs, where candidate paths repeat, give the same trace as the
+    filtered walk, for every attempts per round in 1..3 and L in 1..4."""
+    for attempts in (1, 2, 3):
+        for L in (1, 2, 3, 4):
+            adv = AdversaryType(Fraction(1, 2 * L), 2, L)
+            seed = 100 * attempts + L
+            expected = _filtered_walk_gen_balanced(net, adv, seed, 300, attempts)
+            assert gen_balanced(net, adv, seed, 300, attempts) == expected
+            assert bool(expected.injections) == (net.n > 1)
 
 
 # ------------------------------------------------------------- unbalanced gen

@@ -1,15 +1,18 @@
-"""Seeded CLI outputs, pinned byte for byte.
+"""Seeded CLI and demo outputs, pinned byte for byte.
 
-Nine seeded runs of `cli.main` cover an Old-Go-First run whose rounds are
-mostly silent (a sparse 40-node graph with oracle gossip), one with TDMA
-gossip, a clique and a path with oracle gossip, the clique saturation run
-under each algorithm, two brute-force static link scheduling checks on
-random 8-node graphs, and a TDMA gossip check on a random 10-node graph.
-Each run's exit code, stdout, stderr and every file it writes under
-`--out` (for the commands that take it) are hashed, and the hashes must
-equal `golden_outputs.json`.  The set runs in two fresh interpreters, under
-PYTHONHASHSEED 0 and 12345, so an output that depends on set or dict
-iteration order over hashed keys shows up as a diff.
+Ten seeded runs of `cli.main` cover an Old-Go-First run whose rounds are
+mostly silent (a sparse 40-node graph with oracle gossip), two with TDMA
+gossip (a random 12-node graph, and an 8-clique where every node overhears
+every transmission), a clique and a path with oracle gossip, the clique
+saturation run under each algorithm, two brute-force static link
+scheduling checks on random 8-node graphs, and a TDMA gossip check on a
+random 10-node graph.  Each run's exit code, stdout, stderr and every file
+it writes under `--out` (for the commands that take it) are hashed.  So are
+the stdout and stderr of each of the six scripts in `demos/`, run
+in-process as `__main__`.  The hashes must equal `golden_outputs.json`.
+The set runs in two fresh interpreters, under PYTHONHASHSEED 0 and 12345,
+so an output that depends on set or dict iteration order over hashed keys
+shows up as a diff.
 
 Run this file as a script to print the hashes of the current code:
 
@@ -23,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -39,6 +43,7 @@ RUNS = {
                             "--gen-scale", "1/2"],
     "ogf-random12-tdma": ["ogf", "--network", "gen:random:12:0.3",
                           "--adv", "1/8:1:2", "--gen-scale", "1/2"],
+    "ogf-clique8-tdma": ["ogf", "--network", "gen:clique:8", "--adv", "1/8:1:2"],
     "ogf-clique6-oracle": ["ogf", "--network", "gen:clique:6",
                            "--adv", "1/4:1:3", "--gossip", "oracle:15"],
     "ogf-path8-oracle": ["ogf", "--network", "gen:path:8",
@@ -56,14 +61,24 @@ RUNS = {
     "gossip-check-random10": ["gossip-check", "--network", "gen:random:10:0.3"],
 }
 NO_OUT = {"gossip-check"}  # commands that write no files and take no --out
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
+def _captured(fn) -> tuple[object, str, str]:
+    """fn's result with what it printed to stdout and to stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        result = fn()
+    return result, stdout.getvalue(), stderr.getvalue()
+
+
 def run_all() -> dict[str, dict]:
-    """Each run's exit code and the hashes of its stdout, stderr and files."""
+    """Each run's exit code and the hashes of its stdout, stderr and files,
+    then each demo's."""
     from radiosim import cli
 
     digests = {}
@@ -71,14 +86,16 @@ def run_all() -> dict[str, dict]:
         with tempfile.TemporaryDirectory() as out:
             if argv[0] not in NO_OUT:
                 argv = [*argv, "--out", out]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
+            code, stdout, stderr = _captured(lambda: cli.main(argv))
             files = {p.name: _sha(p.read_text())
                      for p in sorted(Path(out).iterdir())}
-        digests[name] = {"exit": code, "stdout": _sha(stdout.getvalue()),
-                         "stderr": _sha(stderr.getvalue()), "files": files}
+        digests[name] = {"exit": code, "stdout": _sha(stdout),
+                         "stderr": _sha(stderr), "files": files}
+    for demo in DEMOS:
+        _, stdout, stderr = _captured(
+            lambda: runpy.run_path(str(demo), run_name="__main__"))
+        digests[f"demo-{demo.stem}"] = {"stdout": _sha(stdout),
+                                        "stderr": _sha(stderr)}
     return digests
 
 

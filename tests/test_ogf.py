@@ -335,6 +335,59 @@ def test_node_whose_last_old_tour_left_sleeps_to_window_end():
     assert state.memory["resident"] == {}
 
 
+def _heard(alg, state, sender, message):
+    """Pass a heard message to `state` as the engine does: wake reset first."""
+    state.wake = 0
+    alg.on_hear(state, sender, message)
+
+
+def test_sleeping_tdma_node_hearing_rumors_keeps_its_transmit_wake():
+    # window 2 starts at round 21; node 3 transmits at phase-1 offset 2
+    net = make_path(4)
+    t = Tour(1, 1, (1, 2))
+    state = _state_with(net, 3, [])
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
+    assert alg.on_round(state, 21) is LISTEN
+    assert state.wake == 23
+    _heard(alg, state, 2, _rumors((t, 0)))
+    assert state.wake == 23
+    assert state.memory["rumors"] == {1: t}
+
+
+def test_non_holder_overhearing_a_tour_keeps_its_window_end_wake():
+    # node 1 hears tour 1 go 2->3 in color round 33 of window 2 (21..40)
+    net = make_path(4)
+    t = Tour(1, 1, (2, 3))
+    state = _state_with(net, 1, [])
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
+    alg.on_round(state, 21)
+    _heard(alg, state, 2, _rumors((t, 0)))
+    assert alg.on_round(state, 33) is LISTEN
+    assert state.wake == 41
+    _heard(alg, state, 2, Message(tour=t))
+    assert state.wake == 41
+    assert state.memory["moved"] == []
+
+
+def test_next_hop_of_a_heard_tour_wakes_and_makes_it_resident():
+    # node 2 hears tour 1 go 1->2 in color round 33 of window 2 (21..40),
+    # then forwards it in round 34
+    net = make_path(4)
+    t = Tour(1, 1, (1, 2, 3))
+    state = _state_with(net, 2, [])
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
+    alg.on_round(state, 21)
+    _heard(alg, state, 1, _rumors((t, 0)))
+    assert alg.on_round(state, 33) is LISTEN
+    assert state.wake == 41
+    _heard(alg, state, 1, Message(tour=t))
+    assert state.wake == 0
+    assert state.memory["moved"] == [1]
+    state.queue[1] = t  # the engine queues it after on_hear
+    assert alg.on_round(state, 34) == Message(tour=t)
+    assert state.memory["resident"] == {1: t}
+
+
 def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():
     net = make_path(4)
     adv = _adv(1, 8, 1, 2)
@@ -587,6 +640,10 @@ class NeverSleeps(ogf.OldGoFirst):
         state.wake = 0
         return action
 
+    def on_hear(self, state, sender, message):
+        super().on_hear(state, sender, message)
+        state.wake = 0
+
 
 def _probed(monkeypatch, cls):
     """Make run_ogf build `cls`, counting its on_round calls in the list returned."""
@@ -617,10 +674,14 @@ def _sleeping_and_awake(monkeypatch, *args, **kwargs):
     return results
 
 
-@pytest.mark.parametrize("gossip", ["tdma", "oracle"])
-def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip):
+@pytest.mark.parametrize("gossip, net", [
+    pytest.param("tdma", make_random_connected(6, 0.4, 3), id="tdma"),
+    pytest.param("oracle", make_random_connected(6, 0.4, 3), id="oracle"),
+    # every node overhears every transmission
+    pytest.param("tdma", make_clique(6), id="tdma-clique6"),
+])
+def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip, net):
     adv = _adv(1, 8, 1, 2)
-    net = make_random_connected(6, 0.4, 3)
     s_n = GossipConfig.tdma().rounds(net.n)
     config = GossipConfig.tdma() if gossip == "tdma" else GossipConfig.oracle(s_n)
     trace = gen_balanced(net, _derated(adv), 3, 260)
@@ -631,7 +692,7 @@ def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip):
     assert sleeping_calls < awake_calls == net.n * 260
 
 
-@pytest.mark.parametrize("gossip, calls", [("tdma", 679), ("oracle", 184)])
+@pytest.mark.parametrize("gossip, calls", [("tdma", 334), ("oracle", 160)])
 def test_on_round_calls_of_sleeping_nodes_are_pinned(monkeypatch, gossip, calls):
     """Who wakes when, as a count: a change to the engine's wake-up or to
     Old-Go-First's sleep rule shows here even where outputs stay the same."""
