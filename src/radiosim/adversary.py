@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -196,14 +195,22 @@ def verify_admissible(net: Network, trace: InjectionTrace,
     """None if the trace is admissible for the type, else a witness.
 
     One pass over the rounds through the load envelope, checking nodes once
-    their round is complete, so a witness counts every tour of its end round."""
+    their round is complete, so a witness counts every tour of its end round.
+    Each distinct path's conflict set is built once per call."""
     for f in trace.injections:
         validate_tour(net, f)
         if f.length > adv.L:
             return Violation("stretch", tour_id=f.id)
     envelope = _LoadEnvelope(adv)
+    conflict_nodes: dict[tuple[int, ...], frozenset[int]] = {}  # by path
     for r, tours in trace.by_round().items():
-        counts = Counter(v for f in tours for v in conflict_node_set(net, f))
+        counts: dict[int, int] = {}
+        for f in tours:
+            nodes = conflict_nodes.get(f.path)
+            if nodes is None:
+                nodes = conflict_nodes[f.path] = conflict_node_set(net, f)
+            for v in nodes:
+                counts[v] = counts.get(v, 0) + 1
         for v in sorted(counts):
             if not envelope.add(v, r, counts[v]):
                 return envelope.witness(v)
@@ -245,6 +252,12 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     next free id, only if it is admitted.  Apart from the random draws, an
     attempt costs its walk and the envelope steps of its conflict nodes,
     which each call builds once per distinct path.
+
+    Each uniform index below m is drawn as CPython's `randrange` and
+    `choice` draw it: `getrandbits(m.bit_length())`, redrawn while it is
+    m or more.  So the draws, and the trace, are those of
+    `randrange(1, L + 1)`, `randrange(1, n + 1)` and `choice(options)`, at
+    one Python call each.
     """
     if classify(adv) is not Balance.BALANCED:
         raise AdversaryError(f"gen_balanced needs a balanced type, got {adv}")
@@ -253,8 +266,15 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     if attempts_per_round < 0:
         raise AdversaryError(
             f"attempts per round must be >= 0, got {attempts_per_round}")
-    rng = random.Random(seed)
-    randrange, choice = rng.randrange, rng.choice
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        return i
+
     neighbors = {v: sorted(net._adj[v]) for v in net.nodes()}
     envelope = _LoadEnvelope(adv)
     # each distinct candidate path's conflict nodes, as a tuple: smaller than a set
@@ -262,12 +282,12 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     tours: list[Tour] = []
     for r in range(1, horizon + 1):
         for _ in range(attempts_per_round):
-            links = randrange(1, adv.L + 1)
-            v = randrange(1, net.n + 1)
+            links = below(adv.L) + 1
+            v = below(net.n) + 1
             path = [v]
             options = neighbors[v]  # no node neighbors itself
             while options:
-                v = choice(options)
+                v = options[below(len(options))]
                 path.append(v)
                 if len(path) > links:
                     break

@@ -12,11 +12,12 @@ algorithm acts through two hooks: `on_round` picks a node's action from
 its local state, and `on_hear` receives what the node hears.
 
 A node may sleep.  `on_round` may set `NodeState.wake` to the next round
-in which the node needs to act; until then `run` does not call `on_round`
-for it and the node listens.  A tour injected at the node, or any message
-the node hears, resets `wake` to 0 (before `on_hear`, which may set it
-again), so the node acts again in the next round that reaches it.  A node
-that never sets `wake` acts in every round.
+in which the node needs to act (`math.inf`: none until woken); until then
+`run` does not call `on_round` for it and the node listens.  A tour
+injected at the node, or any message the node hears, resets `wake` to 0
+(before `on_hear`, which may set it again), so the node acts again in the
+next round that reaches it.  A node that never sets `wake` acts in every
+round.
 """
 
 from __future__ import annotations
@@ -259,8 +260,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     hearer is served.  Only the nodes of steps (2) and (4) can have changed
     `wake` or a queue, since the awake nodes include every injected source
     and every sender.  Each of them whose final `wake` lies past the next
-    round leaves the awake set for the bucket of its `wake` round, and any
-    other stays awake; then its queue length updates the running backlog
+    round leaves the awake set for the bucket of its `wake` round, or for
+    no bucket if that round is past the horizon, and any other stays
+    awake; then its queue length updates the running backlog
     and count of nodes per queue size, so a callback that changes its own
     queue still breaks conservation.  A bucket entry counts only if the
     node's `wake` still equals that round when it comes due.  Outside
@@ -375,7 +377,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             state = states[v]
             if state.wake > soon:
                 awake.discard(v)
-                due.setdefault(state.wake, []).append(v)
+                if state.wake <= horizon:
+                    due.setdefault(state.wake, []).append(v)
             else:
                 awake.add(v)
             q, old = len(state.queue), size[v]

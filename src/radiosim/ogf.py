@@ -54,9 +54,9 @@ class GossipConfig:
     instantaneously at phase start while a configurable S(n) rounds
     still elapse (a measurement mode for studying other gossip costs).  The
     oracle's knowledge is the union of every node's own window-start
-    snapshot, so it needs every node's `on_round` to run in the window's
-    first round; a sleeping Old-Go-First node therefore never sleeps past
-    the next window's start.
+    snapshot.  A node whose queue is empty contributes nothing to it, so an
+    Old-Go-First node with an empty queue may sleep through window starts;
+    every node that holds a tour acts in its window's first round.
     """
 
     mode: str
@@ -190,15 +190,23 @@ class OldGoFirst(RoutingAlgorithm):
     gets one entry per plan made, one per window under complete gossip.
 
     A node sleeps (`NodeState.wake`) through rounds in which it can only
-    listen, but acts at offset 0 of every window (the snapshot) and at
-    offset S(n) (the plan).  In phase 1 an oracle node sleeps to S(n) and a
-    TDMA node to its next transmit offset; in phase 2 a node with no
-    resident old tour sleeps to the window's end, and one that holds an old
-    tour stays awake.  `on_round` keeps the wake round it sets in
-    `memory["wake"]`, and `on_hear` restores it after whatever the node
-    only overhears: TDMA rumors, which change no action before its next
-    transmit offset, and a phase-2 tour whose next hop is another node,
-    which neither enters nor leaves this node's queue.  Only a tour
+    listen.  In phase 1 an oracle node sleeps to S(n) and a TDMA node to its
+    next transmit offset; in phase 2 a node with no resident old tour sleeps
+    to the window's end, and one that holds an old tour stays awake.  So a
+    node acts at offset 0 of every window (the snapshot) and at offset S(n)
+    (the plan), except under oracle gossip a node other than node 1 whose
+    queue is empty: it sleeps until an injection or a heard message wakes
+    it (`wake` is `math.inf`).  Node 1 plans every window, so `window_log`
+    has an entry for each window that reaches its plan round.  A node that
+    slept through a window start held no tour there, so its first
+    `on_round` in the window installs an empty snapshot, and a tour that
+    woke it is settled under this window's plan; `memory["window"]` is the
+    index of the window whose snapshot the node holds.  `on_round` keeps
+    the wake round it sets in `memory["wake"]`, and `on_hear` restores it
+    after whatever the node only overhears: TDMA rumors, which change no
+    action before its next transmit offset, and a phase-2 tour whose next
+    hop is another node, which neither enters nor leaves this node's
+    queue.  Only a tour
     addressed to the node leaves it awake.  Residency and the queue bound
     change only when a tour is injected or arrives, and both wake the node,
     so every check still fires in the round it would fire without sleeping.
@@ -233,16 +241,19 @@ class OldGoFirst(RoutingAlgorithm):
 
     # -- window bookkeeping ------------------------------------------------
 
-    def _snapshot(self, state: NodeState, window_index: int, window_start: int) -> None:
+    def _snapshot(self, state: NodeState, window_index: int, window_start: int,
+                  late: bool) -> None:
         """Freeze this node's old tours (anything injected before the window)
         as its initial rumor set, each as the tour that remains from here (at
         its source, the queued tour itself), none of them sent yet; drop last
-        window's knowledge.  Under oracle gossip the rumor set is the
-        window's shared union, which every node extends with its own snapshot."""
-        rumors = {tid: f if f.path[0] == state.name else
-                  Tour(tid, f.injection_round, f.path[f.path.index(state.name):])
-                  for tid, f in state.queue.items()
-                  if f.injection_round < window_start}
+        window's knowledge.  A `late` snapshot, taken after the window start
+        by a node that slept through it with an empty queue, is empty.
+        Under oracle gossip the rumor set is the window's shared union,
+        which every node extends with its own snapshot."""
+        rumors = {} if late else {
+            tid: f if f.path[0] == state.name else
+            Tour(tid, f.injection_round, f.path[f.path.index(state.name):])
+            for tid, f in state.queue.items() if f.injection_round < window_start}
         if self.gossip.mode == "oracle":
             index, union, _ = self._window
             if index != window_index:
@@ -253,6 +264,7 @@ class OldGoFirst(RoutingAlgorithm):
         state.memory["rumors"] = rumors
         state.memory["sent"] = 0
         state.memory["plan"] = None
+        state.memory["window"] = window_index
 
     def _resident(self, state: NodeState,
                   window_index: int) -> tuple[WindowPlan, dict[int, Tour]]:
@@ -307,8 +319,8 @@ class OldGoFirst(RoutingAlgorithm):
         offset = (round_no - 1) % self.w
         start = round_no - offset  # this window's first round
         index = (round_no - 1) // self.w + 1
-        if offset == 0:
-            self._snapshot(state, index, round_no)
+        if state.memory.get("window") != index:
+            self._snapshot(state, index, start, offset > 0)
 
         if offset < self.s_n:
             if self.gossip.mode == "oracle":
@@ -335,6 +347,8 @@ class OldGoFirst(RoutingAlgorithm):
                 state.memory["moved"].append(f.id)
             # with no old tour here the node only listens until the window ends
             wake = 0 if resident else start + self.w
+        if not state.queue and self.gossip.mode == "oracle" and state.name != 1:
+            wake = math.inf  # nothing to snapshot or send until a tour comes
         state.wake = state.memory["wake"] = wake
 
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:
@@ -362,9 +376,11 @@ class OgfResult:
 
     `invariant_checks` is derived, not counted: n times the rounds whose
     window offset is at least S(n).  Per-color residency holds in each of
-    them: a node scans its queue at its plan round, and afterwards its
-    residency changes only when an old tour arrives or leaves, which its
-    next `on_round` settles, and an arrival wakes the node for that round.
+    them: a node scans its queue when it installs the window's plan (at the
+    plan round, or, if it slept through that with an empty queue, when a
+    tour wakes it), and afterwards its residency changes only when an old
+    tour arrives or leaves, which its next `on_round` settles, and an
+    arrival wakes the node for that round.
     """
 
     metrics: Metrics

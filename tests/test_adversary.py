@@ -118,6 +118,33 @@ def test_single_round_burst_violation():
     assert violation.interval == (1, 1)
 
 
+@pytest.mark.parametrize("copies, load", [(2, None), (3, 3)])
+def test_each_tour_on_a_repeated_path_counts_toward_the_load(copies, load):
+    # on the path 1-...-6 a tour on (2, 3) conflicts with nodes 2, 3 and 4,
+    # one on (5, 6) with 5 and 6; at (1/4, 2, 2) one round admits 2 tours
+    # on (2, 3) but not 3
+    net = make_path(6)
+    adv = _adv(1, 4, 2, 2)
+    tours = tuple(Tour(i, 1, (2, 3)) for i in range(1, copies + 1))
+    trace = InjectionTrace(tours + (Tour(copies + 1, 1, (5, 6)),), 3)
+    violation = verify_admissible(net, trace, adv)
+    assert violation == verify_admissible_all_intervals(net, trace, adv)
+    assert (violation and violation.load) == load
+
+
+def test_witness_on_repeated_paths_matches_the_oracle():
+    # two tours on (2, 3) in round 1 fit 1/4 + 2, a third one in round 2
+    # breaks 2/4 + 2 on [1, 2] at nodes 2, 3 and 4; node 2 comes first
+    net = make_path(6)
+    adv = _adv(1, 4, 2, 2)
+    trace = InjectionTrace((Tour(1, 1, (2, 3)), Tour(2, 1, (2, 3)),
+                            Tour(3, 2, (2, 3)), Tour(4, 2, (6, 5))), 2)
+    violation = verify_admissible(net, trace, adv)
+    assert violation == adversary.Violation(
+        "load", node=2, interval=(1, 2), load=3, budget=Fraction(5, 2))
+    assert violation == verify_admissible_all_intervals(net, trace, adv)
+
+
 def test_fast_verifier_matches_slow_oracle():
     rng = random.Random(19)
     agreements = 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -596,6 +597,27 @@ class OddWaker(RandomSleeper):
         return action
 
 
+class FarSleeper(RandomSleeper):
+    """Also sleeps to round `far` in some rounds and after some heard
+    messages, so that such a node acts again only after an injection or a
+    message that it does not answer by sleeping again."""
+
+    def __init__(self, seed: int, far):
+        super().__init__(seed)
+        self.far = far
+
+    def on_round(self, state: NodeState, round_no: int):
+        action = super().on_round(state, round_no)
+        if random.Random(f"{self.seed}/{state.name}/{round_no}/far").random() < 0.3:
+            state.wake = self.far
+        return action
+
+    def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
+        rng = random.Random(f"{self.seed}/{state.name}/{sender}/{sorted(state.queue)}")
+        if rng.random() < 0.5:
+            state.wake = self.far
+
+
 def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, int]]:
     """engine.run's contract as a plain loop: wake by injection and by
     hearing, call every node with wake <= r, apply the full `step`, and
@@ -650,7 +672,8 @@ def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, i
     return metrics, peaks
 
 
-def _check_against_reference(sleeper, seed):
+def _random_instance(seed):
+    """A seeded random network and trace of 5 to 40 tours over 80 rounds."""
     rng = random.Random(seed)
     net = make_random_connected(rng.randint(2, 12), rng.uniform(0.1, 0.6),
                                 rng.randrange(10**9))
@@ -660,7 +683,12 @@ def _check_against_reference(sleeper, seed):
         path = random_simple_path(net, rng, 4)
         if len(path) >= 2:
             tours.append(Tour(len(tours) + 1, rng.randint(1, horizon), path))
-    trace = InjectionTrace(tuple(tours), horizon)
+    return net, InjectionTrace(tuple(tours), horizon), horizon
+
+
+def _check_against_reference(sleeper, seed):
+    net, trace, horizon = _random_instance(seed)
+    tours = trace.injections
     got_alg, want_alg = sleeper(seed), sleeper(seed)
     got = run(net, got_alg, trace, horizon)
     want, peaks = _reference_run(net, want_alg, trace, horizon)
@@ -677,6 +705,17 @@ def _check_against_reference(sleeper, seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_run_matches_reference_simulator(seed):
     _check_against_reference(RandomSleeper, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sleeping_past_the_horizon_is_sleeping_to_just_after_it(seed):
+    net, trace, horizon = _random_instance(seed)
+    runs = []
+    for far in (math.inf, 10**6, horizon + 1):
+        alg = FarSleeper(seed, far)
+        runs.append((run(net, alg, trace, horizon), alg.calls))
+    assert runs[0] == runs[1] == runs[2]
+    _check_against_reference(lambda s: FarSleeper(s, math.inf), seed)
 
 
 @pytest.mark.parametrize("sleeper", [HearingSleeper, OddWaker],

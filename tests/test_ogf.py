@@ -646,12 +646,13 @@ class NeverSleeps(ogf.OldGoFirst):
 
 
 def _probed(monkeypatch, cls):
-    """Make run_ogf build `cls`, counting its on_round calls in the list returned."""
+    """Make `ogf.OldGoFirst`, which run_ogf builds, a `cls` that records the
+    (round, node) of each on_round call in the list returned."""
     calls = []
 
     class Probe(cls):
         def on_round(self, state, round_no):
-            calls.append(round_no)
+            calls.append((round_no, state.name))
             return super().on_round(state, round_no)
 
     monkeypatch.setattr(ogf, "OldGoFirst", Probe)
@@ -674,16 +675,18 @@ def _sleeping_and_awake(monkeypatch, *args, **kwargs):
     return results
 
 
-@pytest.mark.parametrize("gossip, net", [
-    pytest.param("tdma", make_random_connected(6, 0.4, 3), id="tdma"),
-    pytest.param("oracle", make_random_connected(6, 0.4, 3), id="oracle"),
+@pytest.mark.parametrize("config, net", [
+    pytest.param(GossipConfig.tdma(), make_random_connected(6, 0.4, 3), id="tdma"),
+    pytest.param(GossipConfig.oracle(30), make_random_connected(6, 0.4, 3),
+                 id="oracle"),
     # every node overhears every transmission
-    pytest.param("tdma", make_clique(6), id="tdma-clique6"),
+    pytest.param(GossipConfig.tdma(), make_clique(6), id="tdma-clique6"),
+    # most nodes hold no tour at most window starts
+    pytest.param(GossipConfig.oracle(40), make_random_connected(40, 0.05, 3),
+                 id="oracle-random40"),
 ])
-def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip, net):
+def test_sleeping_matches_never_sleeping_strict(monkeypatch, config, net):
     adv = _adv(1, 8, 1, 2)
-    s_n = GossipConfig.tdma().rounds(net.n)
-    config = GossipConfig.tdma() if gossip == "tdma" else GossipConfig.oracle(s_n)
     trace = gen_balanced(net, _derated(adv), 3, 260)
     (sleeping, sleeping_calls), (awake, awake_calls) = _sleeping_and_awake(
         monkeypatch, net, adv, config, trace, 260)
@@ -692,7 +695,10 @@ def test_sleeping_matches_never_sleeping_strict(monkeypatch, gossip, net):
     assert sleeping_calls < awake_calls == net.n * 260
 
 
-@pytest.mark.parametrize("gossip, calls", [("tdma", 334), ("oracle", 160)])
+@pytest.mark.parametrize("gossip, calls", [
+    pytest.param("tdma", 334, id="tdma"),
+    pytest.param("oracle", 137, id="oracle"),
+])
 def test_on_round_calls_of_sleeping_nodes_are_pinned(monkeypatch, gossip, calls):
     """Who wakes when, as a count: a change to the engine's wake-up or to
     Old-Go-First's sleep rule shows here even where outputs stay the same."""
@@ -729,6 +735,49 @@ def test_sleeping_matches_never_sleeping_on_overflow(monkeypatch, gossip):
         monkeypatch, net, adv, config, trace, 300)
     assert sleeping == awake
     assert sleeping[0] is WindowOverflowError and "window 2" in sleeping[1]
+
+
+def _oracle_path4_run(monkeypatch, cls):
+    """Oracle `cls` on the path 1-2-3-4 (w = 20, S(n) = 12) for 60 rounds:
+    node 2 sends its own tour 1 in round 33 of window 2, then tour 2
+    reaches it from node 1 in round 53 of window 3.  Returns the metrics,
+    the window log and the (round, node) of each on_round call."""
+    net = make_path(4)
+    trace = InjectionTrace((Tour(1, 1, (2, 3)), Tour(2, 25, (1, 2, 3))), 25)
+    calls = _probed(monkeypatch, cls)
+    alg = ogf.OldGoFirst(net, 20, GossipConfig.oracle(12))
+    return run(net, alg, trace, 60), alg.window_log, calls
+
+
+def test_oracle_node_with_an_empty_queue_sleeps_through_window_starts(monkeypatch):
+    _, _, calls = _oracle_path4_run(monkeypatch, ogf.OldGoFirst)
+    by_round = {r: [v for q, v in calls if q == r] for r in (1, 21, 41)}
+    # round 1 calls every node; node 1 keeps the window record, node 2
+    # holds tour 1 at round 21, and nodes 3 and 4 never hold a tour: node 3
+    # acts only in the round after each delivery to it, node 4 never again
+    assert by_round == {1: [1, 2, 3, 4], 21: [1, 2], 41: [1]}
+    assert [r for r, v in calls if v in (3, 4) and r > 1] == [34, 55]
+
+
+def test_node_woken_mid_phase2_settles_the_tour_under_this_windows_plan(monkeypatch):
+    # node 2 slept from round 34 with window 2's plan, which colors tour 1
+    # only; tour 2 arrives in round 53, so node 2 must install window 3's
+    # plan, in which tour 2 is color 1 of single-round super-rounds
+    metrics, log, calls = _oracle_path4_run(monkeypatch, ogf.OldGoFirst)
+    assert [r for r, v in calls if v == 2] == [1, 13, 21, 33, 34, 54, 55]
+    assert [(d.tour_id, d.delivered) for d in metrics.deliveries] == [(1, 33), (2, 54)]
+    awake_metrics, awake_log, _ = _oracle_path4_run(monkeypatch, NeverSleeps)
+    assert metrics.rounds_csv() == awake_metrics.rounds_csv()
+    assert log == awake_log
+
+
+def test_oracle_windows_without_traffic_are_logged():
+    # with no tour queued anywhere, node 1 still plans every window
+    adv = _adv(1, 8, 1, 2)
+    net = make_path(4)
+    res = run_ogf(net, adv, GossipConfig.oracle(12), InjectionTrace((), 0), 60)
+    assert res.w == 19
+    assert res.windows == [ogf.WindowStats(k, 0, 0, 0, 0, False) for k in (1, 2, 3)]
 
 
 def test_sleeping_node_woken_by_injection_breaks_queue_bound():
