@@ -1,10 +1,10 @@
 """The TDMA gossip phase: one transmitter per round, nothing collides.
 
-Node ((r-1) mod n) + 1 transmits in phase-round r the rumors it learned
-since its previous transmission; its neighbors heard all earlier ones, so
-each of them ends up holding its whole rumor set.  Within a sweep of n
-rounds every node speaks once, so every rumor crosses at least one more
-hop per sweep; after n-1 sweeps (S(n) = n(n-1) rounds) every node knows
+Node ((r-1) mod n) + 1 owns phase-round r and transmits there the rumors
+it learned since its previous transmission, if it learned any; its
+neighbors heard all earlier ones, so each of them ends up holding its
+whole rumor set.  Within a sweep of n rounds every node with news speaks
+once, so every rumor crosses at least one more hop per sweep; after n-1 sweeps (S(n) = n(n-1) rounds) every node knows
 every rumor on any connected topology.  `tdma_gossip` runs Old-Go-First's
 own phase 1, here with one rumor per node.
 """

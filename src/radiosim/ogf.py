@@ -46,11 +46,12 @@ class WindowOverflowError(GuaranteeError):
 class GossipConfig:
     """How phase 1 collects old tours.
 
-    tdma: node ((r-1) mod n)+1 transmits in phase-round r the rumors it
-    learned since its previous transmission, as a snapshot dict that its
-    hearers only read; n-1 sweeps of n rounds, so S(n) = n*(n-1).  It is
-    the round's only transmitter, so each neighbor hears all its payloads,
-    which together hold its whole rumor set.  oracle: knowledge is shared
+    tdma: node ((r-1) mod n)+1 owns phase-round r, in which it transmits
+    the rumors it learned since its previous transmission, as a snapshot
+    dict that its hearers only read, and listens if there are none; n-1
+    sweeps of n rounds, so S(n) = n*(n-1).  It is the round's only
+    possible transmitter, so each neighbor hears all its payloads, which
+    together hold its whole rumor set.  oracle: knowledge is shared
     instantaneously at phase start while a configurable S(n) rounds
     still elapse (a measurement mode for studying other gossip costs).  The
     oracle's knowledge is the union of every node's own window-start
@@ -103,11 +104,14 @@ def gossip_action(state: NodeState, offset: int) -> Action:
     the payload.  A rumor dict only grows within a window, and a tour id
     names one rumor at every node, so these rumors are the dict's tail past
     the count `memory["sent"]` (0 when absent), which the send updates.
-    The node transmits in its offset even when that tail is empty."""
+    A node whose tail is empty listens in its offset: an empty payload
+    would teach no hearer anything."""
     if state.name != offset % state.n + 1:
         return LISTEN
     memory = state.memory
     rumors, sent = memory["rumors"], memory.get("sent", 0)
+    if sent == len(rumors):
+        return LISTEN
     memory["sent"] = len(rumors)
     return Message(control=dict(islice(rumors.items(), sent, None)))
 
@@ -123,12 +127,16 @@ def merge_gossip(state: NodeState, message: Message) -> None:
 
 def tdma_gossip(net: Network, rumors: dict[int, dict]) -> dict[int, dict]:
     """Run TDMA phase 1 alone for S(n) rounds through the hearing rule, from
-    node v's starting rumor dict `rumors[v]`; returns each node's final one."""
+    node v's starting rumor dict `rumors[v]`; returns each node's final one.
+    As in `engine.run`, an offset whose owner has nothing new to send is
+    silent everywhere and skips the hearing rule."""
     states = {v: NodeState(v, net.n, memory={"rumors": dict(rumors[v])})
               for v in net.nodes()}
     for offset in range(GossipConfig.tdma().rounds(net.n)):
         sending = {v: a for v, state in states.items()
                    if (a := gossip_action(state, offset)) is not LISTEN}
+        if not sending:
+            continue
         for v, out in engine.step(net, sending).items():
             if isinstance(out, engine.Heard):
                 merge_gossip(states[v], out.message)
@@ -190,26 +198,31 @@ class OldGoFirst(RoutingAlgorithm):
     gets one entry per plan made, one per window under complete gossip.
 
     A node sleeps (`NodeState.wake`) through rounds in which it can only
-    listen.  In phase 1 an oracle node sleeps to S(n) and a TDMA node to its
-    next transmit offset; in phase 2 a node with no resident old tour sleeps
-    to the window's end, and one that holds an old tour stays awake.  So a
-    node acts at offset 0 of every window (the snapshot) and at offset S(n)
-    (the plan), except under oracle gossip a node other than node 1 whose
-    queue is empty: it sleeps until an injection or a heard message wakes
-    it (`wake` is `math.inf`).  Node 1 plans every window, so `window_log`
+    listen.  In phase 1 an oracle node sleeps to S(n), and so does a TDMA
+    node with no unsent rumor, which would listen in its transmit offsets;
+    a TDMA node that holds one sleeps to its next transmit offset, which
+    `memory["slot"]` keeps (or to S(n) if none is left).  In phase 2 a node
+    with no resident old tour sleeps to the window's end, and one that
+    holds an old tour stays awake.  So a node acts at offset 0 of every
+    window (the snapshot) and at offset S(n) (the plan), except under
+    oracle gossip a node other than node 1 whose queue is empty: it sleeps
+    until an injection or a heard message wakes it (`wake` is
+    `math.inf`).  Node 1 plans every window, so `window_log`
     has an entry for each window that reaches its plan round.  A node that
     slept through a window start held no tour there, so its first
     `on_round` in the window installs an empty snapshot, and a tour that
     woke it is settled under this window's plan; `memory["window"]` is the
     index of the window whose snapshot the node holds.  `on_round` keeps
     the wake round it sets in `memory["wake"]`, and `on_hear` restores it
-    after whatever the node only overhears: TDMA rumors, which change no
-    action before its next transmit offset, and a phase-2 tour whose next
-    hop is another node, which neither enters nor leaves this node's
-    queue.  Only a tour
-    addressed to the node leaves it awake.  Residency and the queue bound
-    change only when a tour is injected or arrives, and both wake the node,
-    so every check still fires in the round it would fire without sleeping.
+    after whatever the node only overhears: a TDMA payload that leaves it
+    with nothing unsent, and a phase-2 tour whose next hop is another node
+    or which ends here, so that it neither enters nor leaves this node's
+    queue.  A payload that leaves it an unsent rumor sets `wake` to
+    `memory["slot"]`; if the node slept through that slot, it acts in the
+    next round, which finds its next one.  Only a tour that joins the
+    node's queue leaves it awake.  Residency and the queue bound change
+    only when a tour is injected or arrives, and both wake the node, so
+    every check still fires in the round it would fire without sleeping.
 
     A node scans its queue for its old tours once per window, when it
     installs the plan, and keeps them in `memory["resident"]` by color.
@@ -328,9 +341,14 @@ class OldGoFirst(RoutingAlgorithm):
                 wake = start + self.s_n
             else:
                 action = gossip_action(state, offset)
-                # the node's next transmit offset, or the plan round
+                # the node's next transmit offset, or the plan round; with
+                # nothing unsent it sleeps to the plan round, and `on_hear`
+                # brings the slot back once a heard payload gives it news
+                memory = state.memory
                 nxt = offset + (state.name - 2 - offset) % state.n + 1
-                wake = start + min(nxt, self.s_n)
+                slot = memory["slot"] = start + min(nxt, self.s_n)
+                wake = (slot if memory["sent"] < len(memory["rumors"])
+                        else start + self.s_n)
         else:
             plan, resident = self._resident(state, index)
             # phase-2 offset o lies in super-round o // (delta+1) + 1 at color
@@ -359,15 +377,23 @@ class OldGoFirst(RoutingAlgorithm):
 
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
         # all nodes run this policy: phase-1 messages carry control only,
-        # phase-2 ones a tour only.  Only a tour addressed to this node can
-        # change what it does, so anything else puts it back to sleep.
+        # phase-2 ones a tour only.  Only rumors left unsent, which bring
+        # back its transmit slot, or a tour that joins its queue can change
+        # what this node does, so anything else puts it back to sleep.
+        memory = state.memory
         f = message.tour
         if message.control is not None:
             merge_gossip(state, message)
-        elif f is not None and f.path[f.path.index(sender) + 1] == state.name:
-            state.memory.setdefault("moved", []).append(f.id)
-            return
-        state.wake = state.memory.get("wake", 0)
+            if memory["sent"] < len(memory["rumors"]):
+                state.wake = memory["slot"]
+                return
+        elif f is not None:
+            path = f.path
+            i = path.index(sender) + 1
+            if path[i] == state.name and i < len(path) - 1:
+                memory.setdefault("moved", []).append(f.id)
+                return
+        state.wake = memory.get("wake", 0)
 
 
 @dataclass

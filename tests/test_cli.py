@@ -422,3 +422,23 @@ def test_empty_input_path_is_usage_error(argv, capsys):
     assert run_cli(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: [Errno 2] empty input file path: ''\n"
+
+
+@pytest.mark.parametrize("window, bound", [("100", "2w = 200"), ("19", "2u = 38")])
+def test_ogf_checks_latency_against_twice_the_window_used(window, bound, capsys):
+    # u = 19 here; with w = 100 every latency is within 2w but not within 2u
+    code = run_cli("ogf", "--network", "gen:clique:4", "--adv", "1/8:1:2",
+                   "--window", window, "--horizon", "2000", "--attempts", "3")
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"u = 19, S(n) = 12, window = {window},")
+    assert out.endswith(f"all latencies within {bound}\n")
+
+
+def test_ogf_window_below_u_is_usage_error_before_any_output(capsys):
+    code = run_cli("ogf", "--network", "gen:clique:4", "--adv", "1/8:1:2",
+                   "--window", "16")
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: strict --window must be >= u = 19, got 16")

@@ -133,6 +133,59 @@ def test_exact_chromatic_cap():
         exact_chromatic(big)
 
 
+def _partitions(vertices):
+    """Every partition of `vertices` into blocks, each exactly once."""
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for blocks in _partitions(rest):
+        yield [[first], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+
+def _chromatic_by_enumeration(vertices, edges):
+    """The fewest blocks over all partitions into independent sets."""
+    return min(len(blocks) for blocks in _partitions(list(vertices))
+               if not any((a, b) in edges for block in blocks
+                          for a, b in itertools.combinations(sorted(block), 2)))
+
+
+def test_exact_chromatic_matches_enumeration():
+    # every labeled graph on n <= 5 vertices, then a seeded sample at 6 and 7
+    cases = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            cases.append((n, {p for i, p in enumerate(pairs) if mask >> i & 1}))
+    rng = random.Random(15)
+    for n in (6, 7):
+        for _ in range(150):
+            p = rng.random()
+            cases.append((n, {e for e in itertools.combinations(range(1, n + 1), 2)
+                              if rng.random() < p}))
+    assert len(cases) == 1 + 1 + 2 + 8 + 64 + 1024 + 300
+    for n, edges in cases:
+        vertices = range(1, n + 1)
+        assert exact_chromatic(_graph(vertices, edges)) == \
+            _chromatic_by_enumeration(vertices, edges), (n, sorted(edges))
+
+
+def test_exact_chromatic_at_the_cap():
+    # the Groetzsch graph (11 vertices, triangle-free, chromatic number 4)
+    # beside a 5-cycle: 16 vertices, whose largest clique is an edge
+    cap = coloring.EXACT_CHROMATIC_CAP
+    cycle = [(i, i % 5 + 1) for i in range(1, 6)]
+    shadows = [(a + 5, b) for a, b in cycle] + [(b + 5, a) for a, b in cycle]
+    hub = [(v, 11) for v in range(6, 11)]
+    far_cycle = [(a + 11, b + 11) for a, b in cycle]
+    cg = _graph(range(1, 17), cycle + shadows + hub + far_cycle)
+    assert len(cg.vertices) == cap == 16
+    assert exact_chromatic(cg) == 4
+    assert exact_chromatic(_graph(range(1, cap + 1), [])) == 1
+
+
 def test_exact_never_exceeds_greedy():
     rng = random.Random(7)
     for _ in range(60):

@@ -14,7 +14,7 @@ from radiosim import (LISTEN, AdversaryType, Coloring, GossipConfig,
                       gen_unbalanced_clique, make_clique, make_path,
                       make_random_connected, plan_window, run, run_ogf,
                       tdma_gossip)
-from radiosim import ogf
+from radiosim import engine, ogf
 from conftest import MALFORMED_TOURS, all_connected_networks, spider_burst
 
 
@@ -63,9 +63,12 @@ def test_window_bound_satisfies_feasibility_inequality():
 
 def _tdma_transmitters(n):
     """The nodes that `gossip_action` lets transmit at each of the S(n)
-    phase-1 offsets."""
-    states = [NodeState(v, n, memory={"rumors": {}}) for v in range(1, n + 1)]
-    return [[s.name for s in states if ogf.gossip_action(s, offset) is not LISTEN]
+    phase-1 offsets, when every node holds one unsent rumor there."""
+    def transmits(v, offset):
+        state = NodeState(v, n, memory={"rumors": {v: None}})
+        return ogf.gossip_action(state, offset) is not LISTEN
+
+    return [[v for v in range(1, n + 1) if transmits(v, offset)]
             for offset in range(GossipConfig.tdma().rounds(n))]
 
 
@@ -89,6 +92,26 @@ def test_gossip_complete_on_every_small_connected_network():
         for net in all_connected_networks(n):
             knowledge = tdma_gossip(net, {v: {v: None} for v in net.nodes()})
             assert all(knowledge[v].keys() == set(net.nodes()) for v in net.nodes())
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gossip_on_a_clique_sends_only_news(monkeypatch, n):
+    # sweep 1: every node sends what it holds; sweep 2: nodes 1..n-1 send
+    # what they heard after their own send; then no node has news.  So
+    # 2n - 1 of the n(n-1) slots transmit (both slots at n = 2)
+    sends = []
+    step = engine.step
+
+    def counted(net, actions):
+        sends.extend(actions)
+        return step(net, actions)
+
+    monkeypatch.setattr(engine, "step", counted)
+    net = make_clique(n)
+    knowledge = tdma_gossip(net, {v: {v: None} for v in net.nodes()})
+    assert len(sends) == min(2 * n - 1, n * (n - 1))
+    assert sends[:n] == list(range(1, n + 1))
+    assert all(knowledge[v].keys() == set(net.nodes()) for v in net.nodes())
 
 
 def test_gossip_payload_is_a_snapshot_that_hearers_only_read():
@@ -120,15 +143,16 @@ def test_gossip_payload_holds_the_rumors_learned_since_the_last_send():
     ogf.merge_gossip(sender, Message(control={1: t1, 2: t2}))
     ogf.merge_gossip(sender, Message(control={3: t3}))
     assert ogf.gossip_action(sender, 5).control == {1: t1, 3: t3}
-    # nothing learned since: the node still transmits, with an empty payload
-    message = ogf.gossip_action(sender, 9)
-    assert message is not LISTEN and message.control == {}
+    # nothing learned since: the node listens in its offset
+    assert ogf.gossip_action(sender, 9) is LISTEN
     assert sender.memory["rumors"] == {2: t2, 1: t1, 3: t3}
+    assert sender.memory["sent"] == 3
 
 
 def test_each_window_gossips_its_snapshot_from_the_start():
-    # node 1 sends its old tour at offset 0 of window 2, and again at offset
-    # 0 of window 3, whose snapshot starts a new rumor dict
+    # node 1 sends its old tour at offset 0 of window 2, listens at offset n
+    # with nothing new, and sends it again at offset 0 of window 3, whose
+    # snapshot starts a new rumor dict
     net = make_path(3)
     s_n = GossipConfig.tdma().rounds(net.n)
     w = s_n + 4
@@ -136,7 +160,7 @@ def test_each_window_gossips_its_snapshot_from_the_start():
     f = Tour(7, 1, (1, 2, 3))
     state = NodeState(1, net.n, queue={7: f})
     assert alg.on_round(state, w + 1).control == {7: f}
-    assert alg.on_round(state, w + 1 + net.n).control == {}
+    assert alg.on_round(state, w + 1 + net.n) is LISTEN
     assert alg.on_round(state, 2 * w + 1).control == {7: f}
 
 
@@ -342,16 +366,23 @@ def _heard(alg, state, sender, message):
 
 
 def test_sleeping_tdma_node_hearing_rumors_keeps_its_transmit_wake():
-    # window 2 starts at round 21; node 3 transmits at phase-1 offset 2
+    # window 2 starts at round 21 and plans at round 33; node 3 owns
+    # phase-1 offsets 2, 6 and 10.  With no rumor it sleeps to the plan
+    # round; a new rumor brings back its next slot, and once that rumor is
+    # sent, hearing it again leaves the node asleep to the plan round
     net = make_path(4)
     t = Tour(1, 1, (1, 2))
     state = _state_with(net, 3, [])
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     assert alg.on_round(state, 21) is LISTEN
-    assert state.wake == 23
+    assert state.wake == 33
     _heard(alg, state, 2, _rumors((t, 0)))
     assert state.wake == 23
     assert state.memory["rumors"] == {1: t}
+    assert alg.on_round(state, 23) == Message(control={1: t})
+    assert state.wake == 33
+    _heard(alg, state, 2, _rumors((t, 0)))
+    assert state.wake == 33
 
 
 def test_non_holder_overhearing_a_tour_keeps_its_window_end_wake():
@@ -402,6 +433,29 @@ def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():
     state.queue[0] = Tour(0, 1, (1, 2))
     with pytest.raises(ogf.GuaranteeError, match="exceeds bound"):
         alg.on_round(state, 2)
+
+
+@pytest.mark.parametrize("adv, window", [
+    (_adv(1, 8, 1, 2), None), (_adv(1, 8, 1, 2), 40), (_adv(1, 4, 2, 2), None),
+    (_adv(3, 10, 3, 3), 500), (_adv(1, 3, 1, 1), None), (_adv(2, 7, 4, 1), 101),
+])
+def test_strict_run_hands_old_go_first_the_queue_bound(monkeypatch, adv, window):
+    # the bound is floor(2*(rho*w + b)), in integer arithmetic here
+    bounds = []
+
+    class Recorded(ogf.OldGoFirst):
+        def __init__(self, *args, queue_bound=None, **kwargs):
+            bounds.append(queue_bound)
+            super().__init__(*args, queue_bound=queue_bound, **kwargs)
+
+    monkeypatch.setattr(ogf, "OldGoFirst", Recorded)
+    net = make_path(4)
+    for strict in (True, False):
+        res = run_ogf(net, adv, GossipConfig.tdma(), InjectionTrace((), 0), 1,
+                      window_override=window, strict=strict)
+    p, q = adv.rho.numerator, adv.rho.denominator
+    assert bounds == [(2 * p * res.w + 2 * adv.b * q) // q, None]
+    assert res.w == (window or compute_window_bound(adv, 12))
 
 
 # ---------------------------------------------------------------- runs
@@ -696,8 +750,8 @@ def test_sleeping_matches_never_sleeping_strict(monkeypatch, config, net):
 
 
 @pytest.mark.parametrize("gossip, calls", [
-    pytest.param("tdma", 334, id="tdma"),
-    pytest.param("oracle", 137, id="oracle"),
+    pytest.param("tdma", 212, id="tdma"),
+    pytest.param("oracle", 125, id="oracle"),
 ])
 def test_on_round_calls_of_sleeping_nodes_are_pinned(monkeypatch, gossip, calls):
     """Who wakes when, as a count: a change to the engine's wake-up or to
@@ -754,9 +808,9 @@ def test_oracle_node_with_an_empty_queue_sleeps_through_window_starts(monkeypatc
     by_round = {r: [v for q, v in calls if q == r] for r in (1, 21, 41)}
     # round 1 calls every node; node 1 keeps the window record, node 2
     # holds tour 1 at round 21, and nodes 3 and 4 never hold a tour: node 3
-    # acts only in the round after each delivery to it, node 4 never again
+    # stays asleep through the deliveries to it, node 4 through everything
     assert by_round == {1: [1, 2, 3, 4], 21: [1, 2], 41: [1]}
-    assert [r for r, v in calls if v in (3, 4) and r > 1] == [34, 55]
+    assert [r for r, v in calls if v in (3, 4) and r > 1] == []
 
 
 def test_node_woken_mid_phase2_settles_the_tour_under_this_windows_plan(monkeypatch):
