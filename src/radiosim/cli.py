@@ -23,7 +23,6 @@ import hashlib
 import random
 import statistics
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,25 +92,18 @@ def parse_gossip(spec: str) -> ogf.GossipConfig:
     raise ogf.OgfError(f"bad gossip spec {spec!r}; use tdma or oracle:<S_n>")
 
 
-@dataclass
-class StabilityVerdict:
-    """Finite-run heuristic for an asymptotic property: `growing` needs the
-    backlog timeline's linear-fit slope over the final half of the run to
-    exceed GROWTH_SLOPE.  The instability scenario's pass/fail rests on
-    the exact counting bound, never on this heuristic."""
-
-    classification: str  # "bounded" | "growing"
-    slope: float
-
-    @classmethod
-    def from_backlog(cls, backlog: list[int]) -> "StabilityVerdict":
-        tail = backlog[len(backlog) // 2:]
-        if len(tail) >= 2 and len(set(tail)) > 1:
-            slope, _ = statistics.linear_regression(range(len(tail)), tail)
-        else:
-            slope = 0.0
-        growing = slope > GROWTH_SLOPE
-        return cls("growing" if growing else "bounded", slope)
+def _stability(backlog: list[int]) -> tuple[str, float]:
+    """Finite-run heuristic for an asymptotic property: ("growing", slope)
+    when the backlog timeline's linear-fit slope over the final half of the
+    run exceeds GROWTH_SLOPE, else ("bounded", slope).  The instability
+    scenario's pass/fail rests on the exact counting bound, never on this
+    heuristic."""
+    tail = backlog[len(backlog) // 2:]
+    if len(tail) >= 2 and len(set(tail)) > 1:
+        slope, _ = statistics.linear_regression(range(len(tail)), tail)
+    else:
+        slope = 0.0
+    return ("growing" if slope > GROWTH_SLOPE else "bounded"), slope
 
 
 def _write(out_dir: str | None, name: str, content: str) -> None:
@@ -199,6 +191,9 @@ def cmd_sls(args) -> int:
 
 def cmd_instability(args) -> int:
     adv = adversary.AdversaryType.parse(args.adv)
+    gossip = parse_gossip(args.gossip)
+    if args.window < 0:
+        raise ogf.OgfError(f"--window must be >= 0, got {args.window}")
     horizon = args.intervals * args.t
     net, trace = adversary.gen_unbalanced_clique(adv, args.n, args.t, horizon)
 
@@ -206,7 +201,6 @@ def cmd_instability(args) -> int:
         metrics = engine.run(net, engine.RoundRobin(), trace, horizon)
     else:
         window = args.window or 2 * ogf.GossipConfig.tdma().rounds(net.n)
-        gossip = parse_gossip(args.gossip)
         metrics = ogf.run_ogf(net, adv, gossip, trace, horizon,
                               window_override=window, strict=False).metrics
 
@@ -216,17 +210,17 @@ def cmd_instability(args) -> int:
     surplus = (adv.L * per_interval - args.t) * k - adv.b * adv.L
     bound = max(0, surplus // adv.L)
     measured = metrics.final_backlog()
-    verdict = StabilityVerdict.from_backlog(metrics.backlog)
+    verdict, slope = _stability(metrics.backlog)
     print(f"injected {metrics.injected_total} tours of length {adv.L} "
           f"over {k} intervals of {args.t} rounds on K{net.n}")
     print(f"final packet backlog: {measured}  (counting lower bound: {bound})")
-    print(f"verdict: {verdict.classification}  "
+    print(f"verdict: {verdict}  "
           f"max_backlog={max(metrics.backlog, default=0)} "
-          f"slope={verdict.slope:.4f} over final half of {len(metrics.backlog)} rounds")
+          f"slope={slope:.4f} over final half of {len(metrics.backlog)} rounds")
     _write(args.out, "rounds.csv", metrics.rounds_csv())
     _write(args.out, "deliveries.csv", metrics.deliveries_csv())
     _summary("instability", args.seed, net.n, adv, None, metrics.max_latency,
-             metrics.max_queue, verdict.classification, args.out)
+             metrics.max_queue, verdict, args.out)
     if measured < bound:
         print(f"FAIL: measured backlog {measured} below proof bound {bound}",
               file=sys.stderr)

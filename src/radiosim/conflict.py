@@ -35,16 +35,9 @@ class Tour:
         return self.path[0]
 
     @property
-    def destination(self) -> int:
-        return self.path[-1]
-
-    @property
     def length(self) -> int:
         """Number of links in the path."""
         return len(self.path) - 1
-
-    def links(self) -> list[tuple[int, int]]:
-        return [(self.path[i], self.path[i + 1]) for i in range(self.length)]
 
 
 def validate_tour(net: Network, tour: Tour) -> None:
@@ -74,7 +67,8 @@ def node_link_conflicts(net: Network, w: int, link: tuple[int, int]) -> bool:
 def node_tour_conflicts(net: Network, w: int, tour: Tour) -> bool:
     """True iff w conflicts with at least one link of the tour."""
     validate_tour(net, tour)
-    return any(node_link_conflicts(net, w, link) for link in tour.links())
+    return any(node_link_conflicts(net, w, link)
+               for link in zip(tour.path, tour.path[1:]))
 
 
 def _path_conflict_nodes(net: Network, path: tuple[int, ...]) -> set[int]:
@@ -88,32 +82,19 @@ def conflict_node_set(net: Network, tour: Tour) -> frozenset[int]:
     return frozenset(_path_conflict_nodes(net, tour.path))
 
 
-_Sets = tuple[frozenset[int], frozenset[int]]
-
-
-def _conflict_sets(net: Network, tour: Tour) -> _Sets:
-    """The tour's non-destination nodes and its conflict_node_set."""
-    return frozenset(tour.path[:-1]), conflict_node_set(net, tour)
-
-
-def _sets_conflict(a: _Sets, b: _Sets) -> bool:
-    """The tour-conflict predicate on pairs made by _conflict_sets: a
-    non-destination node of one tour lies in the other's conflict_node_set.
+def tours_conflict(net: Network, f0: Tour, f1: Tour) -> bool:
+    """True iff the tours share a node or a non-destination node of one
+    conflicts with the other, that is, lies in the other's conflict_node_set.
 
     A shared node x needs no clause of its own.  If x is a non-destination
     node of one tour, it lies in the other's conflict_node_set, which
     contains the other's path.  If x is the destination of both, x's
     predecessor on one tour neighbours x, the head of the other's last link.
     """
-    return not (a[0].isdisjoint(b[1]) and b[0].isdisjoint(a[1]))
-
-
-def tours_conflict(net: Network, f0: Tour, f1: Tour) -> bool:
-    """True iff the tours share a node or a non-destination node of one
-    conflicts with the other."""
     validate_tour(net, f0)
     validate_tour(net, f1)
-    return _sets_conflict(_conflict_sets(net, f0), _conflict_sets(net, f1))
+    return not (conflict_node_set(net, f1).isdisjoint(f0.path[:-1])
+                and conflict_node_set(net, f0).isdisjoint(f1.path[:-1]))
 
 
 class ConflictGraph:
@@ -172,10 +153,6 @@ class ConflictGraph:
     def degree(self, v: int) -> int:
         return self._bits[self._pos[v]].bit_count()
 
-    def __repr__(self) -> str:
-        edges = sum(b.bit_count() for b in self._bits) // 2
-        return f"ConflictGraph(vertices={len(self._ids)}, edges={edges})"
-
 
 def bit_positions(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative int, ascending."""
@@ -193,7 +170,7 @@ def build_conflict_graph(net: Network, tours: Iterable[Tour]) -> ConflictGraph:
     non-destination node, and C_x, the tours whose conflict_node_set holds
     x.  Then a group's row is the OR of C_x over its path's non-destination
     nodes x and of N_x over its conflict nodes x, and tour i's row is its
-    group's row without bit i.  This is _sets_conflict for all pairs at
+    group's row without bit i.  This is tours_conflict for all pairs at
     once: bit j is set iff some x lies in nondest(i) and C(j), or in C(i)
     and nondest(j).  Two tours on one path always conflict.
     """

@@ -363,12 +363,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                 del states[out.sender].queue[f.id]
                 hops -= 1
                 if v == f.path[-1]:
-                    latency = r - f.injection_round
-                    if latency < f.length - 1:
-                        raise EngineError(
-                            f"tour {f.id}: latency {latency} below links-1")
-                    metrics.deliveries.append(
-                        Delivery(f.id, f.injection_round, r, latency, f.length))
+                    metrics.deliveries.append(Delivery(
+                        f.id, f.injection_round, r, r - f.injection_round, f.length))
                 else:
                     state.queue[f.id] = f
 

@@ -58,12 +58,6 @@ class Network:
         return (isinstance(other, Network)
                 and self.n == other.n and self.edges == other.edges)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Network(n={self.n}, edges={len(self.edges)})"
-
 
 def build_network(n: int, edge_list: Iterable[tuple[int, int]]) -> Network:
     """Validate an edge list and return a Network.

@@ -91,10 +91,7 @@ def compute_window_bound(adv: AdversaryType, s_n: int) -> int:
     denom = 1 - adv.rho * adv.L
     if denom <= 0:
         raise OgfError(f"window bound undefined: rho*L = {adv.rho * adv.L} >= 1")
-    u = math.ceil(Fraction(s_n + adv.b * adv.L) / denom)
-    if s_n + (adv.rho * u + adv.b) * adv.L > u:
-        raise OgfError(f"window bound u = {u} fails S(n) + (rho*u + b)*L <= u")
-    return u
+    return math.ceil(Fraction(s_n + adv.b * adv.L) / denom)
 
 
 def gossip_action(state: NodeState, offset: int) -> Action:
@@ -307,7 +304,7 @@ class OldGoFirst(RoutingAlgorithm):
         moved.clear()
         return plan, resident
 
-    def _ensure_plan(self, state: NodeState, window_index: int) -> WindowPlan:
+    def _ensure_plan(self, state: NodeState, window_index: int) -> None:
         rumors = state.memory.get("rumors", {})
         index, planned_from, plan = self._window
         if plan is None or index != window_index or rumors != planned_from:
@@ -324,7 +321,6 @@ class OldGoFirst(RoutingAlgorithm):
             # messages carry no control, and the next snapshot assigns a new dict
             self._window = (window_index, rumors, plan)
         state.memory["plan"] = plan
-        return plan
 
     # -- routing interface ---------------------------------------------------
 

@@ -9,11 +9,11 @@ import pytest
 
 from radiosim import adversary
 from radiosim import (AdversaryError, AdversaryType, Balance, InjectionTrace,
-                      LoadLedger, Tour, build_network, classify,
+                      LoadLedger, RoundRobin, Tour, build_network, classify,
                       conflict_node_set, format_trace,
                       gen_balanced, gen_unbalanced_clique, make_clique, make_path,
-                      make_random_connected, node_load, parse_trace, verify_admissible,
-                      verify_admissible_all_intervals)
+                      make_random_connected, node_load, parse_trace, run,
+                      verify_admissible, verify_admissible_all_intervals)
 from conftest import (MALFORMED_TOURS, assert_genuine_witness, random_network,
                       random_simple_path)
 
@@ -44,6 +44,27 @@ def test_type_validation():
         AdversaryType(Fraction(1, 2), 0, 1)
     with pytest.raises(AdversaryError, match="stretch"):
         AdversaryType(Fraction(1, 2), 1, 0)
+
+
+@pytest.mark.parametrize("injections, horizon, match", [
+    ((Tour(1, 1, (1, 2)), Tour(1, 2, (2, 1))), 5, "duplicate tour ids"),
+    ((Tour(1, 0, (1, 2)),), 5, "tour 1: injection round must be >= 1"),
+    ((Tour(1, 6, (1, 2)),), 5, "horizon precedes its last injection"),
+], ids=["duplicate-id", "round-0", "horizon"])
+def test_trace_rejects_malformed_injections(injections, horizon, match):
+    with pytest.raises(AdversaryError, match=match):
+        InjectionTrace(injections, horizon)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: run(make_path(2), RoundRobin(), InjectionTrace((), 0), h),
+    lambda h: gen_balanced(make_path(3), _adv(1, 8, 1, 2), 1, h),
+    lambda h: gen_unbalanced_clique(_adv(1, 2, 1, 3), n=6, t=2, horizon=h),
+], ids=["engine.run", "gen_balanced", "gen_unbalanced_clique"])
+def test_horizon_must_not_be_negative(call):
+    call(0)
+    with pytest.raises(ValueError, match="^horizon must be >= 0, got -1$"):
+        call(-1)
 
 
 def test_parse_round_trip():
@@ -371,6 +392,9 @@ def test_unbalanced_clique_needs_a_surplus_of_injected_hops():
     # (L*rho - 1)*t = 5/4 >= 1, but floor(rho*t) = 0 tours per interval
     with pytest.raises(AdversaryError, match=r"need L\*floor\(rho\*t\) > t"):
         gen_unbalanced_clique(_adv(3, 4, 3, 3), n=8, t=1, horizon=8)
+    # L*floor(rho*t) = 2*1 = t leaves no surplus either
+    with pytest.raises(AdversaryError, match=r"need L\*floor\(rho\*t\) > t"):
+        gen_unbalanced_clique(_adv(3, 4, 1, 2), n=5, t=2, horizon=8)
     # floor(rho*t) = 1 tour of 3 hops per 2 rounds is enough
     _, trace = gen_unbalanced_clique(_adv(3, 4, 1, 3), n=8, t=2, horizon=8)
     assert len(trace.injections) == 4 + 1

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from radiosim import (coloring, format_network, format_trace, format_tour,
-                      make_path, validate_tour)
+from radiosim import (Metrics, coloring, engine, format_network, format_trace,
+                      format_tour, make_path, ogf, validate_tour)
+from radiosim.engine import Delivery
 from radiosim.cli import (EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, derive_seed,
                           load_network, main)
 from conftest import MALFORMED_TOURS, spider_burst
@@ -295,7 +298,9 @@ def test_ogf_rejects_inadmissible_loaded_trace(tmp_path, capsys):
                                     ("--gen-scale", "abc"),
                                     ("--attempts", "-1"),
                                     ("--window", "-3"),
-                                    ("--window", "5")])
+                                    ("--window", "5"),
+                                    ("--gen-scale", "2"),
+                                    ("--gossip", "junk")])
 def test_ogf_malformed_option_is_usage_error(option, capsys):
     code = run_cli("ogf", "--network", "gen:path:4", "--adv", "1/8:1:2",
                    "--horizon", "10", *option)
@@ -304,15 +309,21 @@ def test_ogf_malformed_option_is_usage_error(option, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_instability_negative_window_is_usage_error(capsys):
+@pytest.mark.parametrize("option", [("--gossip", "junk"), ("--window", "-3")],
+                         ids=["gossip", "window"])
+@pytest.mark.parametrize("algorithm", ["round-robin", "ogf"])
+def test_instability_malformed_option_is_usage_error(algorithm, option, capsys):
+    # round-robin uses neither option, and still rejects a malformed one
     code = run_cli("instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
-                   "--intervals", "5", "--algorithm", "ogf", "--window", "-3")
+                   "--intervals", "5", "--algorithm", algorithm, *option)
     assert code == EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ["n abc\n", "n 3\ne 1 x\n"])
+@pytest.mark.parametrize("text", ["n abc\n", "n 3\ne 1 x\n", "n 3\nn 3\n",
+                                  "n 3 4\n", "n 3\ne 1\n"])
 def test_malformed_network_file_is_usage_error(tmp_path, capsys, text):
     netfile = tmp_path / "net.txt"
     netfile.write_text(text)
@@ -391,6 +402,58 @@ def test_gossip_check_one_node(tmp_path, capsys):
     assert run_cli("gossip-check", "--network", str(netfile)) == EXIT_OK
     assert capsys.readouterr().out == (
         "TDMA gossip on n=1: S(n) = 0 rounds, complete knowledge: yes\n")
+
+
+# ---------------------------------------------------------------- failed checks
+
+
+def _late_delivery(real):
+    def run_ogf(*args, **kwargs):
+        result = real(*args, **kwargs)
+        late = 2 * result.w + 1
+        result.metrics.deliveries.append(Delivery(0, 1, 1 + late, late, 1))
+        return result
+    return run_ogf
+
+
+def _no_delivery(real):
+    def run_ogf(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.metrics.deliveries.clear()
+        return result
+    return run_ogf
+
+
+def _dropped_rumor(real):
+    def tdma_gossip(net, rumors):
+        knowledge = real(net, rumors)
+        del knowledge[1][net.n]
+        return knowledge
+    return tdma_gossip
+
+
+OGF_ARGV = ["ogf", "--network", "gen:path:4", "--adv", "1/8:1:2"]
+
+
+@pytest.mark.parametrize("argv, module, name, fault, message", [
+    (["instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
+      "--intervals", "60"], engine, "run", lambda real: lambda *a, **k: Metrics(),
+     r"FAIL: measured backlog 0 below proof bound 19"),
+    (OGF_ARGV, ogf, "run_ogf", _late_delivery, r"FAIL: 1 deliveries above 2u = \d+"),
+    (OGF_ARGV, ogf, "run_ogf", _no_delivery,
+     r"FAIL: tours \[1, [\d, ]+\] undelivered after 2u = \d+ rounds"),
+    (["gossip-check", "--network", "gen:path:5"], ogf, "tdma_gossip",
+     _dropped_rumor, r"missing rumors: \{1: \[5\]\}"),
+], ids=["instability-below-bound", "ogf-late", "ogf-undelivered",
+        "gossip-check-missing"])
+def test_failed_post_run_check_exits_1(argv, module, name, fault, message,
+                                       monkeypatch, capsys):
+    """Each check made on a finished run exits 1 with one stderr line when
+    the run's result breaks it."""
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert run_cli(*argv) == EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert re.fullmatch(message + "\n", err), err
 
 
 @pytest.mark.parametrize("argv", [

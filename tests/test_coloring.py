@@ -315,6 +315,7 @@ def test_one_round_schedule_matches_hearing_rule_exhaustive_small():
 def test_optimal_single_tour():
     net = make_path(2)
     assert optimal_sls_length(net, [Tour(1, 1, (1, 2))]) == 1
+    assert optimal_sls_length(net, []) == 0
 
 
 def test_optimal_pairwise_conflicting_star():

@@ -196,7 +196,7 @@ def test_graph_agrees_with_pairwise_predicate_at_scale():
             tours += [Tour(len(tours) + 1, 1, (a, x)), Tour(len(tours) + 2, 1, (b, x))]
         dest_only_pairs += sum(
             1 for f0, f1 in itertools.combinations(tours, 2)
-            if set(f0.path) & set(f1.path) == {f0.destination} == {f1.destination})
+            if set(f0.path) & set(f1.path) == {f0.path[-1]} == {f1.path[-1]})
         cg = build_conflict_graph(net, tours)
         assert set(cg.edges) == {(min(f0.id, f1.id), max(f0.id, f1.id))
                                  for f0, f1 in itertools.combinations(tours, 2)

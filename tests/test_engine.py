@@ -246,6 +246,9 @@ def test_empty_trace_zero_backlog():
     metrics = run(net, RoundRobin(), InjectionTrace((), 0), 10)
     assert metrics.backlog == [0] * 10
     assert metrics.injected_total == 0
+    # a run of no rounds is allowed, and records none
+    metrics = run(net, RoundRobin(), InjectionTrace((), 0), 0)
+    assert metrics.backlog == [] and metrics.max_queue == 0
 
 
 def test_always_listen_never_delivers():

@@ -63,6 +63,18 @@ def test_make_clique_too_small():
         make_clique(1)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: build_network(0, []), "node count must be >= 1"),
+    (lambda: make_path(1), "path needs n >= 2"),
+    (lambda: make_cycle(2), "cycle needs n >= 3"),
+    (lambda: make_random_connected(1, 0.5, 0), "random network needs n >= 2"),
+    (lambda: make_random_connected(4, 1.5, 0), r"edge probability must be in \[0, 1\]"),
+], ids=["build", "path", "cycle", "random-size", "random-probability"])
+def test_maker_argument_checks(make, match):
+    with pytest.raises(NetworkError, match=match):
+        make()
+
+
 def test_make_cycle():
     net = make_cycle(5)
     assert len(net.edges) == 5

@@ -543,6 +543,10 @@ def test_rejects_unbalanced_without_override():
     with pytest.raises(OgfError, match="balanced"):
         run_ogf(net, _adv(1, 2, 1, 3), GossipConfig.tdma(),
                 InjectionTrace((), 0), 10)
+    # lenient mode runs an unbalanced type, but only in a window it is given
+    with pytest.raises(OgfError, match="window override is required"):
+        run_ogf(net, _adv(1, 2, 1, 3), GossipConfig.tdma(),
+                InjectionTrace((), 0), 10, strict=False)
 
 
 def test_rejects_inadmissible_trace():
