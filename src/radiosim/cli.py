@@ -200,7 +200,7 @@ def cmd_instability(args) -> int:
     if args.algorithm == "round-robin":
         metrics = engine.run(net, engine.RoundRobin(), trace, horizon)
     else:
-        window = args.window or 2 * ogf.GossipConfig.tdma().rounds(net.n)
+        window = args.window or 2 * gossip.rounds(net.n)
         metrics = ogf.run_ogf(net, adv, gossip, trace, horizon,
                               window_override=window, strict=False).metrics
 
@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["round-robin", "ogf"],
                    default="round-robin")
     p.add_argument("--window", type=int, default=0,
-                   help="forced window length for --algorithm ogf")
+                   help="forced window length for --algorithm ogf "
+                        "(default 2*S(n) of --gossip)")
     p.add_argument("--gossip", default="tdma")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help=OUT_HELP)

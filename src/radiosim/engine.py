@@ -265,7 +265,14 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     awake; then its queue length updates the running backlog
     and count of nodes per queue size, so a callback that changes its own
     queue still breaks conservation.  A bucket entry counts only if the
-    node's `wake` still equals that round when it comes due.  Outside
+    node's `wake` still equals that round when it comes due.  A node has
+    one entry per wake round: the engine keeps the round of each node's
+    latest entry, so a node that falls back asleep to that round, as one
+    whose `on_hear` restores its wake after each overheard message does,
+    adds none.  A round in which no node is awake once its injections and
+    due wakes are in is idle: the engine passes the observer an empty
+    `sending` map and the shared silent outcome, appends the unchanged
+    timelines and goes on to the next round.  Outside
     `step`, a round's Python-level work is proportional to its events: the
     awake nodes' callbacks, the transmitters' neighborhoods and the heard
     messages.  Step (3) calls `step`, whose C-level copy of its dense
@@ -301,6 +308,7 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     awake = set(states)  # the nodes that act in the coming round
     silent: RoundOutcome = dict.fromkeys(net._adj, SILENCE)  # shared, read-only
     due: dict[int, list[int]] = {}  # round -> nodes that set `wake` to it
+    booked = [0] * (len(states) + 1)  # each node's latest bucket round, by node
 
     for r in range(1, horizon + 1):
         for tour in by_round.get(r, ()):
@@ -313,6 +321,13 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         for v in due.pop(r, ()):
             if states[v].wake == r:
                 awake.add(v)
+        if not awake:
+            if observer is not None:
+                observer(r, {}, silent)
+            metrics.backlog.append(backlog)
+            metrics.undelivered_hops.append(hops)
+            metrics.max_queue_per_round.append(top)
+            continue
 
         sending: dict[int, Message] = {}
         next_hop: dict[int, int] = {}  # sender of a tour -> its next hop
@@ -371,10 +386,12 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         # (5) settle the nodes that acted or heard
         for v in order + heard:
             state = states[v]
-            if state.wake > soon:
+            wake = state.wake
+            if wake > soon:
                 awake.discard(v)
-                if state.wake <= horizon:
-                    due.setdefault(state.wake, []).append(v)
+                if wake <= horizon and booked[v] != wake:
+                    booked[v] = wake
+                    due.setdefault(wake, []).append(v)
             else:
                 awake.add(v)
             q, old = len(state.queue), size[v]

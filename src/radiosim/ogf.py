@@ -198,11 +198,14 @@ class OldGoFirst(RoutingAlgorithm):
     listen.  In phase 1 an oracle node sleeps to S(n), and so does a TDMA
     node with no unsent rumor, which would listen in its transmit offsets;
     a TDMA node that holds one sleeps to its next transmit offset, which
-    `memory["slot"]` keeps (or to S(n) if none is left).  In phase 2 a node
-    with no resident old tour sleeps to the window's end, and one that
-    holds an old tour stays awake.  So a node acts at offset 0 of every
-    window (the snapshot) and at offset S(n) (the plan), except under
-    oracle gossip a node other than node 1 whose queue is empty: it sleeps
+    `memory["slot"]` keeps (or to S(n) if none is left).  In phase 2, color
+    i sends in round i of each super-round, so a node acts only in the
+    color rounds of its resident old tours: after each call it sleeps to
+    the next phase-2 round in this window whose color holds one, other
+    than the tour it sends now, and to the window's end if there is none.
+    So a node acts at offset 0 of every window (the snapshot) and at offset
+    S(n) (the plan), except under oracle gossip a node other than node 1
+    whose queue is empty, or is emptied by the tour it sends: it sleeps
     until an injection or a heard message wakes it (`wake` is
     `math.inf`).  Node 1 plans every window, so `window_log`
     has an entry for each window that reaches its plan round.  A node that
@@ -225,9 +228,9 @@ class OldGoFirst(RoutingAlgorithm):
     installs the plan, and keeps them in `memory["resident"]` by color.
     From then on only the phase-2 tours sent to it and the one it sent can
     have changed it: `memory["moved"]` collects them, and the next
-    `on_round` settles each against the queue.  So the phase-2 action and
-    the sleep rule are dict lookups, and an arrival that breaks per-color
-    residency raises there, as a fresh scan would.
+    `on_round` settles each against the queue.  So the phase-2 action is a
+    dict lookup and the sleep rule at most Delta of them, and an arrival
+    that breaks per-color residency raises there, as a fresh scan would.
     """
 
     def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
@@ -349,20 +352,30 @@ class OldGoFirst(RoutingAlgorithm):
             plan, resident = self._resident(state, index)
             # phase-2 offset o lies in super-round o // (delta+1) + 1 at color
             # round o % (delta+1) + 1, where the node holding the old tour of
-            # that color sends it; offset < w, so a truncated phase 2 ends at
-            # the window boundary
+            # that color sends it; a truncated phase 2 ends at the window
+            # boundary, w - S(n) offsets in
             o = offset - self.s_n
-            f = (resident.get(o % (plan.delta + 1) + 1)
-                 if o < plan.phase2_length else None)
+            colors = plan.delta + 1
+            end = min(plan.phase2_length, self.w - self.s_n)
+            f = resident.get(o % colors + 1) if o < end else None
             if f is None:
                 action = LISTEN
             else:
                 action = Message(tour=f)
                 state.memory["moved"].append(f.id)
-            # with no old tour here the node only listens until the window ends
-            wake = 0 if resident else start + self.w
-        if not state.queue and self.gossip.mode == "oracle" and state.name != 1:
-            wake = math.inf  # nothing to snapshot or send until a tour comes
+            # sleep to the next round whose color holds a resident old tour:
+            # the scan stops after one super-round, where only f's color
+            # would come back, and f leaves in this round
+            wake = start + self.w
+            for p in range(o + 1, min(end, o + colors)):
+                if p % colors + 1 in resident:
+                    wake = start + self.s_n + p
+                    break
+        if (len(state.queue) == (action is not LISTEN)
+                and self.gossip.mode == "oracle" and state.name != 1):
+            # nothing to snapshot or send until a tour comes; oracle phase 1
+            # listens, so a sent action is the queue's last tour leaving
+            wake = math.inf
         state.wake = state.memory["wake"] = wake
 
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:

@@ -182,6 +182,17 @@ def test_instability_ogf_forced_window(capsys):
     assert "growing" in capsys.readouterr().out
 
 
+def test_instability_ogf_default_window_follows_the_chosen_gossip(capsys):
+    # the default window is 2*S(n) of the gossip in use: 200 rounds here,
+    # where a TDMA-sized 60 would leave no room after S(n) = 100
+    code = run_cli("instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
+                   "--intervals", "5", "--algorithm", "ogf",
+                   "--gossip", "oracle:100")
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK, err
+    assert err == "" and "verdict:" in out
+
+
 def test_instability_malformed_gossip_is_usage_error(capsys):
     assert run_cli("instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
                    "--intervals", "3", "--algorithm", "ogf",

@@ -621,6 +621,23 @@ class FarSleeper(RandomSleeper):
             state.wake = self.far
 
 
+class RestoringSleeper(RandomSleeper):
+    """Also puts itself back to sleep after most heard messages, to the wake
+    round that its last `on_round` set, as Old-Go-First does after what it
+    only overhears: the engine books that round once, however often the
+    node falls back asleep to it."""
+
+    def on_round(self, state: NodeState, round_no: int):
+        action = super().on_round(state, round_no)
+        state.memory["wake"] = state.wake
+        return action
+
+    def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
+        rng = random.Random(f"{self.seed}/{state.name}/{sender}/{sorted(state.queue)}")
+        if rng.random() < 0.8:
+            state.wake = state.memory.get("wake", 0)
+
+
 def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, int]]:
     """engine.run's contract as a plain loop: wake by injection and by
     hearing, call every node with wake <= r, apply the full `step`, and
@@ -721,8 +738,27 @@ def test_sleeping_past_the_horizon_is_sleeping_to_just_after_it(seed):
     _check_against_reference(lambda s: FarSleeper(s, math.inf), seed)
 
 
-@pytest.mark.parametrize("sleeper", [HearingSleeper, OddWaker],
+@pytest.mark.parametrize("sleeper", [HearingSleeper, OddWaker, RestoringSleeper],
                          ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("seed", range(8))
 def test_run_matches_reference_simulator_with_odd_wakes(sleeper, seed):
     _check_against_reference(sleeper, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_observer_sees_every_round_and_idle_ones_share_the_silent_outcome(seed):
+    """A round in which no node acts still reaches the observer, with an
+    empty sending map and the outcome that every silent round shares."""
+    net, trace, horizon = _random_instance(seed)
+    alg = FarSleeper(seed, math.inf)
+    seen = []
+    run(net, alg, trace, horizon,
+        observer=lambda r, sending, outcome: seen.append((r, sending, outcome)))
+    assert [r for r, _, _ in seen] == list(range(1, horizon + 1))
+    acted = {r for r, _ in alg.calls}
+    idle = [(sending, outcome) for r, sending, outcome in seen if r not in acted]
+    assert idle
+    silent = idle[0][1]
+    assert silent == dict.fromkeys(net.nodes(), SILENCE)
+    for sending, outcome in idle:
+        assert sending == {} and outcome is silent

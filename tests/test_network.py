@@ -24,6 +24,12 @@ def test_disconnected_rejected():
         build_network(4, [(1, 2), (3, 4)])
 
 
+def test_disconnected_error_names_every_unreached_node():
+    with pytest.raises(NetworkError, match=(
+            r"^graph is disconnected: cannot reach \[3, 4\] from node 1$")):
+        build_network(4, [(1, 2)])
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(NetworkError, match="duplicate"):
         build_network(2, [(1, 2), (2, 1)])

@@ -205,6 +205,10 @@ def test_gossip_config_validation():
     assert GossipConfig.oracle(7).rounds(6) == 7
 
 
+def test_oracle_gossip_of_one_round_is_accepted():
+    assert GossipConfig.oracle(1).rounds(6) == 1
+
+
 # ---------------------------------------------------------------- planning
 
 
@@ -349,14 +353,47 @@ def test_node_whose_last_old_tour_left_sleeps_to_window_end():
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     alg.on_round(state, 21)
     assert alg.on_round(state, 33) == Message(tour=t1)
+    assert state.wake == 34
     del state.queue[1]  # heard by its next hop
-    assert state.wake == 0
     assert alg.on_round(state, 34) == Message(tour=t2)
-    assert state.wake == 0
-    del state.queue[2]
-    assert alg.on_round(state, 35) is LISTEN
+    assert state.memory["resident"] == {2: t2}
     assert state.wake == 41
-    assert state.memory["resident"] == {}
+
+
+def _k3_holder_of_colors_1_and_3(w, strict=True):
+    """Node 1 of K3 in window 2 under TDMA gossip (S(n) = 6), holding tours
+    1 and 3 while a rumor places tour 2 at node 2.  All three conflict, so
+    they take colors 1, 2 and 3 and phase 2 has 3 rounds.  Returns the
+    algorithm, the state and the tours after the plan round's call."""
+    net = make_clique(3)
+    t1, t2, t3 = Tour(1, 1, (1, 2)), Tour(2, 1, (2, 3)), Tour(3, 1, (1, 3))
+    state = _state_with(net, 1, [t1, t3])
+    alg = ogf.OldGoFirst(net, w, GossipConfig.tdma(), strict=strict)
+    alg.on_round(state, w + 1)
+    alg.on_hear(state, 2, _rumors((t2, 0)))
+    assert alg.on_round(state, w + 7) == Message(tour=t1)
+    assert state.memory["plan"].coloring.assignment == {1: 1, 2: 2, 3: 3}
+    return alg, state, (t1, t2, t3)
+
+
+def test_holder_sleeps_from_one_color_round_to_its_next():
+    # window 2 is rounds 15..28 and plans at 21: color 1 sends in 21, color
+    # 2 (held elsewhere) in 22 and color 3 in 23
+    alg, state, (t1, _, t3) = _k3_holder_of_colors_1_and_3(14)
+    assert state.wake == 23
+    del state.queue[1]  # heard by its next hop
+    assert alg.on_round(state, 23) == Message(tour=t3)
+    # its last old tour leaves now, so it sleeps to the window's end
+    assert state.memory["resident"] == {3: t3}
+    assert state.wake == 29
+
+
+def test_holder_whose_next_color_lies_past_the_window_sleeps_to_its_end():
+    # w = S(n) + 1 truncates phase 2 to color 1's round (round 14 of window
+    # 2, rounds 8..14); color 3's would be round 16, past the window
+    alg, state, _ = _k3_holder_of_colors_1_and_3(7, strict=False)
+    assert alg.window_log[-1].truncated
+    assert state.wake == 15
 
 
 def _heard(alg, state, sender, message):
@@ -754,8 +791,8 @@ def test_sleeping_matches_never_sleeping_strict(monkeypatch, config, net):
 
 
 @pytest.mark.parametrize("gossip, calls", [
-    pytest.param("tdma", 212, id="tdma"),
-    pytest.param("oracle", 125, id="oracle"),
+    pytest.param("tdma", 182, id="tdma"),
+    pytest.param("oracle", 95, id="oracle"),
 ])
 def test_on_round_calls_of_sleeping_nodes_are_pinned(monkeypatch, gossip, calls):
     """Who wakes when, as a count: a change to the engine's wake-up or to
@@ -818,11 +855,12 @@ def test_oracle_node_with_an_empty_queue_sleeps_through_window_starts(monkeypatc
 
 
 def test_node_woken_mid_phase2_settles_the_tour_under_this_windows_plan(monkeypatch):
-    # node 2 slept from round 34 with window 2's plan, which colors tour 1
-    # only; tour 2 arrives in round 53, so node 2 must install window 3's
-    # plan, in which tour 2 is color 1 of single-round super-rounds
+    # node 2 slept from round 33, when it sent its last tour, with window
+    # 2's plan, which colors tour 1 only; tour 2 arrives in round 53, so
+    # node 2 must install window 3's plan, in which tour 2 is color 1 of
+    # single-round super-rounds, and it sleeps again once it sends it
     metrics, log, calls = _oracle_path4_run(monkeypatch, ogf.OldGoFirst)
-    assert [r for r, v in calls if v == 2] == [1, 13, 21, 33, 34, 54, 55]
+    assert [r for r, v in calls if v == 2] == [1, 13, 21, 33, 54]
     assert [(d.tour_id, d.delivered) for d in metrics.deliveries] == [(1, 33), (2, 54)]
     awake_metrics, awake_log, _ = _oracle_path4_run(monkeypatch, NeverSleeps)
     assert metrics.rounds_csv() == awake_metrics.rounds_csv()
