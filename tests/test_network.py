@@ -20,14 +20,9 @@ def test_self_loop_rejected():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(NetworkError, match="disconnected"):
-        build_network(4, [(1, 2), (3, 4)])
-
-
-def test_disconnected_error_names_every_unreached_node():
     with pytest.raises(NetworkError, match=(
             r"^graph is disconnected: cannot reach \[3, 4\] from node 1$")):
-        build_network(4, [(1, 2)])
+        build_network(4, [(1, 2), (3, 4)])
 
 
 def test_duplicate_edge_rejected():

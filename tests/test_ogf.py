@@ -203,9 +203,6 @@ def test_gossip_config_validation():
         GossipConfig("tdma", 5)
     assert GossipConfig.tdma().rounds(6) == 30
     assert GossipConfig.oracle(7).rounds(6) == 7
-
-
-def test_oracle_gossip_of_one_round_is_accepted():
     assert GossipConfig.oracle(1).rounds(6) == 1
 
 
