@@ -13,11 +13,12 @@ its local state, and `on_hear` receives what the node hears.
 
 A node may sleep.  `on_round` may set `NodeState.wake` to the next round
 in which the node needs to act (`math.inf`: none until woken); until then
-`run` does not call `on_round` for it and the node listens.  A tour
-injected at the node, or any message the node hears, resets `wake` to 0
-(before `on_hear`, which may set it again), so the node acts again in the
-next round that reaches it.  A node that never sets `wake` acts in every
-round.
+`run` does not call `on_round` for it and the node listens.  A node wakes
+when a tour joins its queue: an injection at the node, or a tour that it
+hears from the node before it on the tour's path, resets `wake` to 0 (the
+latter after `on_hear`), so the node acts again in the next round that
+reaches it.  Hearing alone leaves `wake` as it is, though `on_hear` may
+set it.  A node that never sets `wake` acts in every round.
 """
 
 from __future__ import annotations
@@ -155,11 +156,12 @@ class RoutingAlgorithm:
     through heard messages.
 
     `on_round` may set `state.wake` to a later round w to sleep: the node
-    then listens, without a call, in every round before w, unless a tour is
-    injected at it or it hears a message, either of which resets `wake` to
-    0.  A node should therefore sleep only through rounds in which, with
-    nothing injected and nothing heard, it would listen.  This base class
-    never sets `wake`, so its subclasses act in every round.
+    then listens, without a call, in every round before w, unless a tour
+    joins its queue, by injection or by arrival, which resets `wake` to 0.
+    `on_hear` may set `wake` too.  A node should therefore sleep only
+    through rounds in which, with no tour joining its queue, it would
+    listen, and wake itself from `on_hear` when what it hears changes that.
+    This base class never sets `wake`, so its subclasses act in every round.
     """
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
@@ -250,26 +252,26 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         object queued at the sender under its id, and its path must pass
         through the sender short of its end;
     (3) apply the hearing rule to the round's transmissions (`step`);
-    (4) for each node that heard a message, in node order: wake it, pass
-        the message to `on_hear`, and if the node follows the sender on a
+    (4) for each node that heard a message, in node order: pass the
+        message to `on_hear`, and if the node follows the sender on a
         heard tour's path, move the tour one hop and record its delivery
-        at its destination;
+        at its destination, or else queue it there and wake the node;
     (5) settle the round, then append its backlog, undelivered hops and
         largest queue, and check conservation.
     Callbacks only act; the engine settles each round once, after the last
-    hearer is served.  Only the nodes of steps (2) and (4) can have changed
-    `wake` or a queue, since the awake nodes include every injected source
-    and every sender.  Each of them whose final `wake` lies past the next
-    round leaves the awake set for the bucket of its `wake` round, or for
-    no bucket if that round is past the horizon, and any other stays
-    awake; then its queue length updates the running backlog
-    and count of nodes per queue size, so a callback that changes its own
-    queue still breaks conservation.  A bucket entry counts only if the
-    node's `wake` still equals that round when it comes due.  A node has
-    one entry per wake round: the engine keeps the round of each node's
-    latest entry, so a node that falls back asleep to that round, as one
-    whose `on_hear` restores its wake after each overheard message does,
-    adds none.  A round in which no node is awake once its injections and
+    hearer is served.  It settles each node of step (2), which include
+    every injected source and every sender, and each node of step (4) whose
+    `wake` or queue length changed there, by an arrival or by `on_hear`: no
+    other node can have changed either.  Each of them whose final `wake`
+    lies past the next round leaves the awake set for the bucket of its
+    `wake` round, or for no bucket if that round is past the horizon, and
+    any other stays awake; then its queue length updates the running
+    backlog and count of nodes per queue size, so a callback that changes
+    its own queue still breaks conservation in that round.  A bucket entry
+    counts only if the node's `wake` still equals that round when it comes
+    due; a node that falls asleep to one round twice has two entries, and
+    the second adds it to the awake set again, which changes nothing.  A
+    round in which no node is awake once its injections and
     due wakes are in is idle: the engine passes the observer an empty
     `sending` map and the shared silent outcome, appends the unchanged
     timelines and goes on to the next round.  Outside
@@ -308,7 +310,6 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
     awake = set(states)  # the nodes that act in the coming round
     silent: RoundOutcome = dict.fromkeys(net._adj, SILENCE)  # shared, read-only
     due: dict[int, list[int]] = {}  # round -> nodes that set `wake` to it
-    booked = [0] * (len(states) + 1)  # each node's latest bucket round, by node
 
     for r in range(1, horizon + 1):
         for tour in by_round.get(r, ()):
@@ -362,19 +363,16 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             hearers = sorted(set().union(*map(neighbors.__getitem__, sending)))
         else:
             hearers = neighbors[next(iter(sending))] if sending else ()
-        heard: list[int] = []  # the nodes served in step (4)
+        changed: list[int] = []  # the hearers whose `wake` or queue changed here
         for v in hearers:
             out = outcome[v]
             if out is SILENCE or out is COLLISION:
                 continue
-            heard.append(v)
             state = states[v]
-            state.wake = 0
+            wake, held = state.wake, len(state.queue)
             algorithm.on_hear(state, out.sender, out.message)
             f = out.message.tour
-            if f is None:
-                continue
-            if next_hop[out.sender] == v:
+            if f is not None and next_hop[out.sender] == v:
                 del states[out.sender].queue[f.id]
                 hops -= 1
                 if v == f.path[-1]:
@@ -382,15 +380,17 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                         f.id, f.injection_round, r, r - f.injection_round, f.length))
                 else:
                     state.queue[f.id] = f
+                    state.wake = 0
+            if state.wake != wake or len(state.queue) != held:
+                changed.append(v)
 
-        # (5) settle the nodes that acted or heard
-        for v in order + heard:
+        # (5) settle the nodes that acted, or heard and changed
+        for v in order + changed:
             state = states[v]
             wake = state.wake
             if wake > soon:
                 awake.discard(v)
-                if wake <= horizon and booked[v] != wake:
-                    booked[v] = wake
+                if wake <= horizon:
                     due.setdefault(wake, []).append(v)
             else:
                 awake.add(v)

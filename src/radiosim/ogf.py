@@ -206,23 +206,21 @@ class OldGoFirst(RoutingAlgorithm):
     So a node acts at offset 0 of every window (the snapshot) and at offset
     S(n) (the plan), except under oracle gossip a node other than node 1
     whose queue is empty, or is emptied by the tour it sends: it sleeps
-    until an injection or a heard message wakes it (`wake` is
-    `math.inf`).  Node 1 plans every window, so `window_log`
-    has an entry for each window that reaches its plan round.  A node that
-    slept through a window start held no tour there, so its first
-    `on_round` in the window installs an empty snapshot, and a tour that
-    woke it is settled under this window's plan; `memory["window"]` is the
-    index of the window whose snapshot the node holds.  `on_round` keeps
-    the wake round it sets in `memory["wake"]`, and `on_hear` restores it
-    after whatever the node only overhears: a TDMA payload that leaves it
-    with nothing unsent, and a phase-2 tour whose next hop is another node
-    or which ends here, so that it neither enters nor leaves this node's
-    queue.  A payload that leaves it an unsent rumor sets `wake` to
-    `memory["slot"]`; if the node slept through that slot, it acts in the
-    next round, which finds its next one.  Only a tour that joins the
-    node's queue leaves it awake.  Residency and the queue bound change
-    only when a tour is injected or arrives, and both wake the node, so
-    every check still fires in the round it would fire without sleeping.
+    until a tour joins its queue (`wake` is `math.inf`).  Node 1 plans
+    every window, so `window_log` has an entry for each window that reaches
+    its plan round.  A node that slept through a window start held no tour
+    there, so its first `on_round` in the window installs an empty
+    snapshot, and a tour that woke it is settled under this window's plan;
+    `memory["window"]` is the index of the window whose snapshot the node
+    holds.  The engine wakes a node only when a tour joins its queue, so
+    what the node only overhears leaves it asleep: a TDMA payload that
+    leaves it with nothing unsent, and a phase-2 tour whose next hop is
+    another node or which ends here.  A payload that leaves it an unsent
+    rumor sets `wake` to `memory["slot"]`; if the node slept through that
+    slot, it acts in the next round, which finds its next one.  Residency
+    and the queue bound change only when a tour is injected or arrives,
+    and both wake the node, so every check still fires in the round it
+    would fire without sleeping.
 
     A node scans its queue for its old tours once per window, when it
     installs the plan, and keeps them in `memory["resident"]` by color.
@@ -376,7 +374,7 @@ class OldGoFirst(RoutingAlgorithm):
             # nothing to snapshot or send until a tour comes; oracle phase 1
             # listens, so a sent action is the queue's last tour leaving
             wake = math.inf
-        state.wake = state.memory["wake"] = wake
+        state.wake = wake
 
         if self.queue_bound is not None and len(state.queue) > self.queue_bound:
             raise GuaranteeError(
@@ -387,22 +385,19 @@ class OldGoFirst(RoutingAlgorithm):
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
         # all nodes run this policy: phase-1 messages carry control only,
         # phase-2 ones a tour only.  Only rumors left unsent, which bring
-        # back its transmit slot, or a tour that joins its queue can change
-        # what this node does, so anything else puts it back to sleep.
+        # back its transmit slot, or a tour that joins its queue, for which
+        # the engine wakes it, can change what this node does.
         memory = state.memory
         f = message.tour
         if message.control is not None:
             merge_gossip(state, message)
             if memory["sent"] < len(memory["rumors"]):
                 state.wake = memory["slot"]
-                return
         elif f is not None:
             path = f.path
             i = path.index(sender) + 1
             if path[i] == state.name and i < len(path) - 1:
                 memory.setdefault("moved", []).append(f.id)
-                return
-        state.wake = memory.get("wake", 0)
 
 
 @dataclass

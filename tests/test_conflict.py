@@ -344,8 +344,8 @@ def test_tour_text_round_trip():
 
 
 def test_tour_parse_errors():
-    with pytest.raises(TourError):
-        parse_tour_line("t 1 2 3")  # too short
+    with pytest.raises(TourError, match="^line 0: expected "):
+        parse_tour_line("t 1 2 3")  # too short, with no line number given
     with pytest.raises(TourError):
         parse_tour_line("x 1 2 3 4")
     with pytest.raises(TourError):

@@ -503,34 +503,75 @@ def test_determinism_bit_identical_metrics():
 class Dropper(RoutingAlgorithm):
     """Acts in rounds 1, 2, 4, 6, ...: sleeps through every odd round after 1.
     In round 4 node 1 drops a tour from its own queue, from `on_round`, or
-    from `on_hear` when node 2 transmits then."""
+    from `on_hear` when node 2 transmits then; under "on_hear-asleep" node 1
+    sleeps for good after round 1, so it drops the tour while asleep."""
 
     def __init__(self, hook: str):
         self.hook = hook
 
     def on_round(self, state, round_no):
         state.wake = round_no + 1 + (round_no % 2 == 0)
+        if self.hook == "on_hear-asleep" and state.name == 1:
+            state.wake = math.inf
         if round_no == 4 and self.hook == "on_round" and state.name == 1:
             del state.queue[next(iter(state.queue))]
-        if round_no == 4 and self.hook == "on_hear" and state.name == 2:
+        if round_no == 4 and self.hook != "on_round" and state.name == 2:
             return _tx()
         return LISTEN
 
     def on_hear(self, state, sender, message):
-        if self.hook == "on_hear" and state.name == 1:
+        if self.hook != "on_round" and state.name == 1:
             del state.queue[next(iter(state.queue))]
 
 
-@pytest.mark.parametrize("hook", ["on_round", "on_hear"])
+@pytest.mark.parametrize("hook", ["on_round", "on_hear", "on_hear-asleep"])
 def test_callback_that_drops_a_tour_breaks_conservation(hook):
     """A node that changes its own queue from a callback is caught by the
-    conservation check in that round, also after it slept."""
+    conservation check in that round, also after it slept, and also while
+    it sleeps and hears without changing `wake`."""
     trace = InjectionTrace((Tour(1, 1, (1, 2)), Tour(2, 2, (3, 2))), 2)
     rounds = []
     with pytest.raises(EngineError, match="^conservation violated"):
         run(make_path(3), Dropper(hook), trace, 10,
             observer=lambda r, sending, outcome: rounds.append(r))
     assert rounds[-1] == 4
+
+
+class Script(RoutingAlgorithm):
+    """Node 2 sleeps until woken after each call; the others act in every
+    round and send what `sends` gives for (round, node).  `calls` and
+    `heard` record the rounds of node 2's calls and what it hears."""
+
+    def __init__(self, sends):
+        self.sends = sends
+        self.calls: list[int] = []
+        self.heard: list[Message] = []
+
+    def on_round(self, state, round_no):
+        if state.name == 2:
+            self.calls.append(round_no)
+            state.wake = math.inf
+        return self.sends.get((round_no, state.name), LISTEN)
+
+    def on_hear(self, state, sender, message):
+        if state.name == 2:
+            self.heard.append(message)
+
+
+def test_sleeping_node_wakes_when_a_tour_joins_its_queue_not_when_it_hears():
+    """On the path 1-2-3-4, node 2 sleeps through a control message from
+    node 1, a tour that node 3 sends to node 4 and a tour that node 1
+    delivers to it; a tour that node 1 forwards into its queue in round 6
+    wakes it for round 7."""
+    to_2, to_4, via_2 = Tour(1, 1, (1, 2)), Tour(2, 1, (3, 4)), Tour(3, 1, (1, 2, 3))
+    sends = {(2, 1): _tx("hello"), (3, 3): Message(tour=to_4),
+             (4, 1): Message(tour=to_2), (6, 1): Message(tour=via_2)}
+    alg = Script(sends)
+    metrics = run(make_path(4), alg, InjectionTrace((to_2, to_4, via_2), 1), 10)
+    assert alg.heard == [sends[k] for k in sorted(sends)]
+    assert alg.calls == [1, 7]
+    assert [(d.tour_id, d.delivered) for d in metrics.deliveries] == [(2, 3), (1, 4)]
+    assert metrics.final_backlog() == 1  # tour 3, which node 2 never sends
 
 
 def test_csv_schemas():
@@ -572,8 +613,8 @@ class RandomSleeper(RoutingAlgorithm):
 
 class HearingSleeper(RandomSleeper):
     """Also sets `wake` from `on_hear`, relative to the last round the node
-    acted in: a round already past, or one to sleep to despite the wake-up
-    that hearing gives."""
+    acted in: a round already past, or one to sleep to, which an arriving
+    tour then overrides."""
 
     def on_round(self, state: NodeState, round_no: int):
         state.memory["acted"] = round_no
@@ -587,7 +628,7 @@ class HearingSleeper(RandomSleeper):
 
 class OddWaker(RandomSleeper):
     """Also sets `wake` to a round not after the next one, or past any
-    horizon, so that only an injection or a heard message wakes the node."""
+    horizon, so that only an injection or an arriving tour wakes the node."""
 
     def on_round(self, state: NodeState, round_no: int):
         action = super().on_round(state, round_no)
@@ -602,8 +643,8 @@ class OddWaker(RandomSleeper):
 
 class FarSleeper(RandomSleeper):
     """Also sleeps to round `far` in some rounds and after some heard
-    messages, so that such a node acts again only after an injection or a
-    message that it does not answer by sleeping again."""
+    messages, so that such a node acts again only after an injection or
+    an arriving tour."""
 
     def __init__(self, seed: int, far):
         super().__init__(seed)
@@ -621,29 +662,12 @@ class FarSleeper(RandomSleeper):
             state.wake = self.far
 
 
-class RestoringSleeper(RandomSleeper):
-    """Also puts itself back to sleep after most heard messages, to the wake
-    round that its last `on_round` set, as Old-Go-First does after what it
-    only overhears: the engine books that round once, however often the
-    node falls back asleep to it."""
-
-    def on_round(self, state: NodeState, round_no: int):
-        action = super().on_round(state, round_no)
-        state.memory["wake"] = state.wake
-        return action
-
-    def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
-        rng = random.Random(f"{self.seed}/{state.name}/{sender}/{sorted(state.queue)}")
-        if rng.random() < 0.8:
-            state.wake = state.memory.get("wake", 0)
-
-
 def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, int]]:
-    """engine.run's contract as a plain loop: wake by injection and by
-    hearing, call every node with wake <= r, apply the full `step`, and
-    rescan every queue for the round's metrics.  It keeps each queued
-    tour's path index itself, instead of deriving it from the holder.  Also
-    returns each node's largest end-of-round queue."""
+    """engine.run's contract as a plain loop: wake a node when a tour is
+    injected at it or queued there, call every node with wake <= r, apply
+    the full `step`, and rescan every queue for the round's metrics.  It
+    keeps each queued tour's path index itself, instead of deriving it from
+    the holder.  Also returns each node's largest end-of-round queue."""
     states = {v: NodeState(v, net.n) for v in net.nodes()}
     position: dict[int, int] = {}  # tour id -> index of its holder on its path
     metrics = Metrics()
@@ -664,7 +688,6 @@ def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, i
         for v, out in step(net, actions).items():
             if not isinstance(out, Heard):
                 continue
-            states[v].wake = 0
             algorithm.on_hear(states[v], out.sender, out.message)
             f = out.message.tour
             if f is None:
@@ -681,6 +704,7 @@ def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, i
                     Delivery(f.id, f.injection_round, r, latency, f.length))
             else:
                 states[v].queue[f.id] = f
+                states[v].wake = 0
         queued = [f for s in states.values() for f in s.queue.values()]
         metrics.backlog.append(len(queued))
         metrics.undelivered_hops.append(
@@ -738,7 +762,7 @@ def test_sleeping_past_the_horizon_is_sleeping_to_just_after_it(seed):
     _check_against_reference(lambda s: FarSleeper(s, math.inf), seed)
 
 
-@pytest.mark.parametrize("sleeper", [HearingSleeper, OddWaker, RestoringSleeper],
+@pytest.mark.parametrize("sleeper", [HearingSleeper, OddWaker],
                          ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("seed", range(8))
 def test_run_matches_reference_simulator_with_odd_wakes(sleeper, seed):

@@ -152,7 +152,8 @@ def test_gossip_payload_holds_the_rumors_learned_since_the_last_send():
 def test_each_window_gossips_its_snapshot_from_the_start():
     # node 1 sends its old tour at offset 0 of window 2, listens at offset n
     # with nothing new, and sends it again at offset 0 of window 3, whose
-    # snapshot starts a new rumor dict
+    # snapshot starts a new rumor dict; a node holding the tour further on
+    # snapshots the tour that remains from there
     net = make_path(3)
     s_n = GossipConfig.tdma().rounds(net.n)
     w = s_n + 4
@@ -162,6 +163,9 @@ def test_each_window_gossips_its_snapshot_from_the_start():
     assert alg.on_round(state, w + 1).control == {7: f}
     assert alg.on_round(state, w + 1 + net.n) is LISTEN
     assert alg.on_round(state, 2 * w + 1).control == {7: f}
+    carried = NodeState(2, net.n, queue={7: f})
+    alg.on_round(carried, w + 1)
+    assert carried.memory["rumors"] == {7: Tour(7, 1, (2, 3))}
 
 
 def _full_payload_gossip(net, rumors):
@@ -393,12 +397,6 @@ def test_holder_whose_next_color_lies_past_the_window_sleeps_to_its_end():
     assert state.wake == 15
 
 
-def _heard(alg, state, sender, message):
-    """Pass a heard message to `state` as the engine does: wake reset first."""
-    state.wake = 0
-    alg.on_hear(state, sender, message)
-
-
 def test_sleeping_tdma_node_hearing_rumors_keeps_its_transmit_wake():
     # window 2 starts at round 21 and plans at round 33; node 3 owns
     # phase-1 offsets 2, 6 and 10.  With no rumor it sleeps to the plan
@@ -410,12 +408,12 @@ def test_sleeping_tdma_node_hearing_rumors_keeps_its_transmit_wake():
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     assert alg.on_round(state, 21) is LISTEN
     assert state.wake == 33
-    _heard(alg, state, 2, _rumors((t, 0)))
+    alg.on_hear(state, 2, _rumors((t, 0)))
     assert state.wake == 23
     assert state.memory["rumors"] == {1: t}
     assert alg.on_round(state, 23) == Message(control={1: t})
     assert state.wake == 33
-    _heard(alg, state, 2, _rumors((t, 0)))
+    alg.on_hear(state, 2, _rumors((t, 0)))
     assert state.wake == 33
 
 
@@ -426,31 +424,37 @@ def test_non_holder_overhearing_a_tour_keeps_its_window_end_wake():
     state = _state_with(net, 1, [])
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     alg.on_round(state, 21)
-    _heard(alg, state, 2, _rumors((t, 0)))
+    alg.on_hear(state, 2, _rumors((t, 0)))
     assert alg.on_round(state, 33) is LISTEN
     assert state.wake == 41
-    _heard(alg, state, 2, Message(tour=t))
+    alg.on_hear(state, 2, Message(tour=t))
     assert state.wake == 41
     assert state.memory["moved"] == []
 
 
-def test_next_hop_of_a_heard_tour_wakes_and_makes_it_resident():
+def test_next_hop_of_a_heard_tour_wakes_and_makes_it_resident(monkeypatch):
     # node 2 hears tour 1 go 1->2 in color round 33 of window 2 (21..40),
-    # then forwards it in round 34
+    # then forwards it in round 34.  on_hear only notes the tour as moved;
+    # the wake comes from engine.run, which queues the tour
     net = make_path(4)
     t = Tour(1, 1, (1, 2, 3))
     state = _state_with(net, 2, [])
     alg = ogf.OldGoFirst(net, 20, GossipConfig.tdma())
     alg.on_round(state, 21)
-    _heard(alg, state, 1, _rumors((t, 0)))
+    alg.on_hear(state, 1, _rumors((t, 0)))
     assert alg.on_round(state, 33) is LISTEN
     assert state.wake == 41
-    _heard(alg, state, 1, Message(tour=t))
-    assert state.wake == 0
+    alg.on_hear(state, 1, Message(tour=t))
+    assert state.wake == 41
     assert state.memory["moved"] == [1]
     state.queue[1] = t  # the engine queues it after on_hear
     assert alg.on_round(state, 34) == Message(tour=t)
     assert state.memory["resident"] == {1: t}
+    calls = _probed(monkeypatch, ogf.OldGoFirst)
+    metrics = run(net, ogf.OldGoFirst(net, 20, GossipConfig.tdma()),
+                  InjectionTrace((t,), 1), 40)
+    assert [r for r, v in calls if v == 2 and r >= 33] == [33, 34]
+    assert [(d.tour_id, d.delivered) for d in metrics.deliveries] == [(1, 34)]
 
 
 def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above():

@@ -2,9 +2,9 @@
 are validated only where they enter the library, the callers of the
 hearing rule and of the conflict set are pinned, the package's public
 names, every defaulted parameter, Old-Go-First's instance attributes and
-the fields of `Message`, `Heard` and `NodeState` are pinned, the radio's
-value types are slotted and frozen, and the benchmark's tracer finds
-every function it wraps."""
+memory keys and the fields of `Message`, `Heard` and `NodeState` are
+pinned, the radio's value types are slotted and frozen, and the
+benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
@@ -174,6 +174,26 @@ def test_old_go_first_attributes_are_pinned():
     assert alg.window_log
     found = set(vars(alg).keys())
     assert found == OGF_ATTRIBUTES, sorted(found ^ OGF_ATTRIBUTES)
+
+
+# what an Old-Go-First node keeps in `NodeState.memory`; a per-node fact
+# stored twice, such as a copy of `wake`, shows here
+OGF_MEMORY_KEYS = {"moved", "plan", "resident", "rumors", "sent", "slot", "window"}
+
+
+def test_old_go_first_memory_keys_are_pinned():
+    net = make_path(4)
+    states = []
+
+    class Probe(OldGoFirst):
+        def on_round(self, state, round_no):
+            states.append(state)
+            return super().on_round(state, round_no)
+
+    for gossip in (GossipConfig.tdma(), GossipConfig.oracle(12)):
+        run(net, Probe(net, 20, gossip), InjectionTrace((Tour(1, 1, (1, 2, 3)),), 1), 60)
+    found = set().union(*(state.memory for state in states))
+    assert found == OGF_MEMORY_KEYS, sorted(found ^ OGF_MEMORY_KEYS)
 
 
 # what a node sends and what it holds; a field that repeats another fact,
