@@ -78,6 +78,11 @@ class Heard:
 Outcome = Heard | _Token
 RoundOutcome = dict[int, Outcome]
 
+# `step` builds each `Heard` through these (see its "Cost:" paragraph).
+_new = object.__new__
+_set_sender = Heard.sender.__set__
+_set_message = Heard.message.__set__
+
 
 def _reject(net: Network, actions: dict[int, Action]) -> NoReturn:
     """Raise the error of a malformed action map, in node order."""
@@ -105,7 +110,11 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
     transmitter its neighborhood.  The outcome is a new dict on every
     call, so a caller may mutate it.  A transmitter's first silent
     listening neighbor gets a new `Heard`, each later one the same object,
-    and a neighbor that has heard another transmitter gets COLLISION.  A
+    and a neighbor that has heard another transmitter gets COLLISION.  The
+    `Heard` is built through its slot descriptors, not its frozen
+    dataclass `__init__`, which sets each field through
+    `object.__setattr__` and costs about twice as much; the result is the
+    same value (equal to `Heard(v, a)`, with the same hash and repr).  A
     malformed map is reported as a scan in node order meets it: the first
     node with an invalid action, else the unknown nodes.
     """
@@ -126,7 +135,11 @@ def step(net: Network, actions: dict[int, Action]) -> RoundOutcome:
                 continue
             out = outcome[u]
             if out is SILENCE:
-                outcome[u] = h = h or Heard(v, a)
+                if h is None:
+                    h = _new(Heard)
+                    _set_sender(h, v)
+                    _set_message(h, a)
+                outcome[u] = h
             elif out is not COLLISION:
                 outcome[u] = COLLISION
     return outcome

@@ -14,7 +14,7 @@ w = u = ceil((S(n) + b*L) / (1 - rho*L)) every tour's latency is at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -417,8 +417,8 @@ class OgfResult:
     u: int | None
     s_n: int
     w: int
-    windows: list[WindowStats] = field(default_factory=list)
-    invariant_checks: int = 0
+    windows: list[WindowStats]
+    invariant_checks: int
 
 
 def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,

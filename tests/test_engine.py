@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -70,6 +71,42 @@ def test_transmitters_with_disjoint_hearers_give_two_heards():
     assert outcome[1] is outcome[3] and outcome[1] == Heard(2, a)
     assert outcome[4] is outcome[6] and outcome[4] == Heard(5, b)
     assert outcome[1] is not outcome[4]
+
+
+def test_step_builds_the_same_heard_value_as_its_constructor():
+    """`step` builds a `Heard` through its slot descriptors; the result is
+    the value `Heard(v, a)` builds: same type, equality, hash and repr, no
+    `__dict__`, and frozen."""
+    net = make_path(3)
+    msg = _tx("m")
+    built = step(net, {2: msg})[1]
+    want = Heard(2, msg)
+    assert type(built) is Heard
+    assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
+    assert not hasattr(built, "__dict__")
+    for name in ("sender", "message"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, getattr(built, name))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_builds_one_heard_per_heard_transmitter(seed):
+    """Over seeded random action maps, the distinct `Heard` objects of an
+    outcome are one per transmitter that some listening neighbor hears
+    alone, whatever the number of its hearers."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        n = rng.randint(2, 12)
+        net = make_random_connected(n, rng.choice([0.2, 0.5, 1.0]), rng.randrange(10**6))
+        actions = {v: _tx() for v in net.nodes() if rng.random() < 0.3}
+        outcome = step(net, actions)
+        heard = set()  # the transmitters some listener hears alone
+        for v in net.nodes():
+            senders = net.neighbors(v) & actions.keys()
+            if v not in actions and len(senders) == 1:
+                heard |= senders
+        distinct = {id(out) for out in outcome.values() if isinstance(out, Heard)}
+        assert len(distinct) == len(heard)
 
 
 def test_absent_node_listens():

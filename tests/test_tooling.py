@@ -21,7 +21,7 @@ import pytest
 
 import radiosim
 from radiosim import (GossipConfig, Heard, InjectionTrace, Message, NodeState,
-                      OldGoFirst, Tour, make_path, run)
+                      OldGoFirst, Tour, make_path, run, step)
 from radiosim.engine import Delivery
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -216,7 +216,9 @@ def test_heard_fields_are_pinned():
 # the radio's value types are slotted and frozen: an instance has no
 # `__dict__`, and a field cannot be assigned
 SLOTTED_VALUES = [Heard(1, Message()), Message(control="m"), Tour(1, 1, (1, 2)),
-                  Delivery(1, 1, 2, 1, 1)]
+                  Delivery(1, 1, 2, 1, 1),
+                  # `step` builds its `Heard`s without the dataclass __init__
+                  pytest.param(step(make_path(2), {1: Message()})[2], id="Heard-step")]
 
 
 @pytest.mark.parametrize("value", SLOTTED_VALUES,

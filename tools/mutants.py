@@ -14,6 +14,10 @@ the project files), never into the working tree, and tier-1 runs there with
 `-x`, without the two slow sampled acceptance tests C6 and C7.  A mutant is
 killed when the run fails or times out, and survives when it passes.
 
+With `--lines MODULE:FIRST-LAST` (repeatable) no sample is drawn: every site
+whose mutated text starts on those lines of that module runs, so a change can
+check its own lines.
+
 Survivors are matched against `mutants_equivalent.txt` beside this file: one
 mutant key per line, exactly as printed, under `#` lines that say why it cannot
 change behaviour.  The last lines give the score and the survivors outside
@@ -21,6 +25,7 @@ that list.
 
 Usage:
     python tools/mutants.py [--seed 0] [--count 80] [module ...]
+    python tools/mutants.py --lines engine:120-140 [--lines ...]
 
 The modules default to adversary, coloring, conflict, engine, network and
 ogf.  Exit status: 0 when no survivor lies outside the list, else 1.
@@ -151,6 +156,17 @@ def sites(module: str, source: bytes) -> list[Mutant]:
     return found
 
 
+def line_range(text: str) -> tuple[str, int, int]:
+    """`MODULE:FIRST-LAST` (or `MODULE:LINE`) as (module, first, last)."""
+    module, _, lines = text.partition(":")
+    first, _, last = lines.partition("-")
+    try:
+        return module, int(first), int(last or first)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected MODULE:FIRST-LAST, got {text!r}") from None
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
@@ -180,15 +196,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=80)
-    parser.add_argument("modules", nargs="*", default=MODULES)
+    parser.add_argument("--lines", type=line_range, action="append",
+                        metavar="MODULE:FIRST-LAST",
+                        help="run every site on these lines instead of a sample")
+    parser.add_argument("modules", nargs="*")
     args = parser.parse_args(argv)
+    if args.lines and args.modules:
+        parser.error("give modules or --lines, not both")
 
-    sources = {m: (ROOT / PACKAGE / f"{m}.py").read_bytes() for m in args.modules}
-    population = [mutant for m in args.modules for mutant in sites(m, sources[m])]
-    sample = random.Random(args.seed).sample(population, min(args.count, len(population)))
+    modules = list(dict.fromkeys(m for m, _, _ in args.lines or ())) or args.modules or MODULES
+    sources = {m: (ROOT / PACKAGE / f"{m}.py").read_bytes() for m in modules}
+    population = [mutant for m in modules for mutant in sites(m, sources[m])]
+    if args.lines:
+        sample = [mutant for mutant in population if any(
+            m == mutant.module
+            and first <= sources[m].count(b"\n", 0, mutant.start) + 1 <= last
+            for m, first, last in args.lines)]
+        print(f"{len(sample)} sites on " + ", ".join(
+            f"{m}.py:{first}-{last}" for m, first, last in args.lines), flush=True)
+    else:
+        sample = random.Random(args.seed).sample(population,
+                                                 min(args.count, len(population)))
+        print(f"{len(population)} sites in {', '.join(modules)}; "
+              f"seed {args.seed}, {len(sample)} mutants", flush=True)
     equivalent = load_equivalent()
-    print(f"{len(population)} sites in {', '.join(args.modules)}; "
-          f"seed {args.seed}, {len(sample)} mutants", flush=True)
 
     killed, survivors, unexplained = 0, [], []
     with tempfile.TemporaryDirectory(prefix="radiosim-mutants-") as tmp:
