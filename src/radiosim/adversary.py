@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection
 
 from .conflict import (Tour, _path_conflict_nodes, conflict_node_set, format_tour,
                        parse_tour_line, validate_tour)
@@ -147,46 +147,57 @@ class _LoadEnvelope:
     """Exact per-node (rho, b) load envelope in integers, with rho = p/q.
 
     A node's level is the maximum of q*load(tau) - p*|tau| over intervals
-    tau ending at the node's last conflict round; other intervals are
-    dominated, so the node is within rho*|tau| + b iff level <= q*b.
-    Adding c tours in round r is Kadane's maximum-subarray step
-    level = q*c - p + max(0, level - p*(r - last - 1)), which also holds
-    for r == last.  A node is kept as (level, last, start, load) with
-    [start, last] the maximising interval; untouched nodes cost nothing."""
+    tau ending at its last booked round r; other intervals are dominated,
+    so the node is within rho*|tau| + b iff level <= q*b.  It is kept as the
+    height h = level + p*r, which an untouched node need not update: booking
+    c tours in round r is Kadane's step h = max(h, p*(r - 1)) + q*c, also
+    when r repeats, and the budget holds iff h <= p*r + q*b.  The maximising
+    interval starts at `start`, which moves to r when max picks p*(r - 1),
+    and holds q*load = h - p*(start - 1)."""
 
     def __init__(self, adv: AdversaryType):
         self.p, self.q = adv.rho.numerator, adv.rho.denominator
         self.cap = self.q * adv.b
-        self.nodes: dict[int, tuple[int, int, int, int]] = {}
+        self.height: dict[int, int] = {}
+        self.start: dict[int, int] = {}
 
-    def _advanced(self, v: int, r: int, c: int) -> tuple[int, int, int, int]:
-        level, last, start, load = self.nodes.get(v, (0, 0, 0, 0))
-        carry = level - self.p * (r - last - 1)
-        if carry > 0:
-            return self.q * c - self.p + carry, r, start, load + c
-        return self.q * c - self.p, r, r, c
+    def add(self, r: int, counts: dict[int, int]) -> list[int]:
+        """Book counts[v] tours at each node v in round r; return those over budget."""
+        height, start, q = self.height, self.start, self.q
+        floor, top = self.p * (r - 1), self.p * r + self.cap
+        over = []
+        for v, c in counts.items():
+            h = height.get(v, 0)
+            if h <= floor:
+                h = floor
+                start[v] = r
+            height[v] = h = h + q * c
+            if h > top:
+                over.append(v)
+        return over
 
-    def add(self, v: int, r: int, c: int) -> bool:
-        """Add c tours in round r at node v; False if v is then over budget."""
-        self.nodes[v] = state = self._advanced(v, r, c)
-        return state[0] <= self.cap
-
-    def admit(self, nodes: Iterable[int], r: int) -> bool:
-        """Add one tour in round r at every node of `nodes` if each of them
-        stays within budget; else add nothing and return False."""
-        booked = []
+    def admit(self, nodes: Collection[int], r: int) -> bool:
+        """Book one tour in round r at each of `nodes`, as `add` would, if
+        each has h <= p*r + q*b - q (p*(r - 1) is never more, as b >= 1);
+        else book nothing and return False."""
+        height, q, floor = self.height, self.q, self.p * (r - 1)
+        get, room = height.get, self.p * r + self.cap - q
         for v in nodes:
-            state = self._advanced(v, r, 1)
-            if state[0] > self.cap:
+            if get(v, 0) > room:
                 return False
-            booked.append((v, state))
-        self.nodes.update(booked)
+        for v in nodes:
+            h = get(v, 0)
+            if h <= floor:
+                h = floor
+                self.start[v] = r
+            height[v] = h + q
         return True
 
-    def witness(self, v: int) -> Violation:
-        _, last, start, load = self.nodes[v]
-        return Violation("load", node=v, interval=(start, last), load=load,
-                         budget=Fraction(self.p * (last - start + 1) + self.cap,
+    def witness(self, v: int, r: int) -> Violation:
+        start = self.start[v]
+        return Violation("load", node=v, interval=(start, r),
+                         load=(self.height[v] - self.p * (start - 1)) // self.q,
+                         budget=Fraction(self.p * (r - start + 1) + self.cap,
                                          self.q))
 
 
@@ -194,9 +205,10 @@ def verify_admissible(net: Network, trace: InjectionTrace,
                       adv: AdversaryType) -> Violation | None:
     """None if the trace is admissible for the type, else a witness.
 
-    One pass over the rounds through the load envelope, checking nodes once
-    their round is complete, so a witness counts every tour of its end round.
-    Each distinct path's conflict set is built once per call."""
+    One pass over the rounds through the load envelope, booking each round
+    once it is complete, so a witness counts every tour of its end round and
+    names the least node then over budget.  Each distinct path's conflict
+    set is built once per call."""
     for f in trace.injections:
         validate_tour(net, f)
         if f.length > adv.L:
@@ -211,9 +223,9 @@ def verify_admissible(net: Network, trace: InjectionTrace,
                 nodes = conflict_nodes[f.path] = conflict_node_set(net, f)
             for v in nodes:
                 counts[v] = counts.get(v, 0) + 1
-        for v in sorted(counts):
-            if not envelope.add(v, r, counts[v]):
-                return envelope.witness(v)
+        over = envelope.add(r, counts)
+        if over:
+            return envelope.witness(min(over), r)
     return None
 
 
@@ -250,8 +262,8 @@ def gen_balanced(net: Network, adv: AdversaryType, seed: int, horizon: int,
     the path has that many links or meets a dead end.  A walk that stays at
     its start is dropped; any other candidate becomes a `Tour`, under the
     next free id, only if it is admitted.  Apart from the random draws, an
-    attempt costs its walk and the envelope steps of its conflict nodes,
-    which each call builds once per distinct path.
+    attempt costs its walk and one height lookup per conflict node (built
+    once per distinct path and call), and an admitted one its booking.
 
     Each uniform index below m is drawn as CPython's `randrange` and
     `choice` draw it: `getrandbits(m.bit_length())`, redrawn while it is

@@ -166,6 +166,88 @@ def test_witness_on_repeated_paths_matches_the_oracle():
     assert violation == verify_admissible_all_intervals(net, trace, adv)
 
 
+def _kadane_step(state, r, c, p, q):
+    """The envelope's former per-node step on (level, last, start, load),
+    kept as the oracle of its height form."""
+    level, last, start, load = state
+    carry = level - p * (r - last - 1)
+    if carry > 0:
+        return q * c - p + carry, r, start, load + c
+    return q * c - p, r, r, c
+
+
+@pytest.mark.parametrize("rho", [Fraction(0), Fraction(1, 3), Fraction(3, 4),
+                                 Fraction(1)], ids=["0", "1/3", "3/4", "1"])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_envelope_height_matches_the_kadane_step(rho, b):
+    """Seeded rounds of add and admit, with repeated rounds and gaps, give
+    the old step's verdicts, levels, starts and witness loads; a refused
+    admit books nothing."""
+    adv = AdversaryType(rho, b, 1)
+    p, q = rho.numerator, rho.denominator
+    envelope = adversary._LoadEnvelope(adv)
+    old: dict[int, tuple[int, int, int, int]] = {}
+    rng = random.Random(f"{rho}/{b}")
+    r = refused = over = 0
+    for _ in range(400):
+        r += rng.choice((0, 0, 1, 1, 2, 5))
+        nodes = rng.sample(range(1, 7), rng.randint(1, 4))
+        if r == 0 or rng.random() < 0.5:
+            r = max(r, 1)
+            counts = {v: rng.randint(1, 3) for v in nodes}
+            new = {v: _kadane_step(old.get(v, (0, 0, 0, 0)), r, c, p, q)
+                   for v, c in counts.items()}
+            expect_over = [v for v in counts if new[v][0] > q * b]
+            assert envelope.add(r, counts) == expect_over
+            old.update(new)
+            for v in expect_over:
+                assert envelope.witness(v, r) == adversary.Violation(
+                    "load", node=v, interval=(new[v][2], r), load=new[v][3],
+                    budget=rho * (r - new[v][2] + 1) + b)
+            over += bool(expect_over)
+        else:
+            new = {v: _kadane_step(old.get(v, (0, 0, 0, 0)), r, 1, p, q)
+                   for v in nodes}
+            fits = all(state[0] <= q * b for state in new.values())
+            before = dict(envelope.height), dict(envelope.start)
+            assert envelope.admit(tuple(nodes), r) is fits
+            if fits:
+                old.update(new)
+            else:
+                assert (envelope.height, envelope.start) == before
+                refused += 1
+        for v, (level, last, start, _) in old.items():
+            assert envelope.height[v] - p * last == level
+            assert envelope.start[v] == start
+    assert refused and over
+
+
+def _seeded_verdicts():
+    """verify_admissible's result on 600 seeded traces of random simple
+    paths on random networks, at rho from 0 to 1 and b from 1 to 3."""
+    rng = random.Random(59)
+    for _ in range(600):
+        net = random_network(rng, max_n=8)
+        adv = AdversaryType(Fraction(rng.randint(0, 4), 4), rng.randint(1, 3),
+                            rng.randint(1, 3))
+        horizon = rng.randint(1, 40)
+        tours = []
+        for r in range(1, horizon + 1):
+            for _ in range(rng.choice((0, 0, 1, 1, 2))):
+                path = random_simple_path(net, rng, adv.L)
+                if len(path) > 1:
+                    tours.append(Tour(len(tours) + 1, r, path))
+        yield verify_admissible(net, InjectionTrace(tuple(tours), horizon), adv)
+
+
+def test_seeded_witnesses_pinned():
+    # recorded before the envelope kept one height per node
+    verdicts = list(_seeded_verdicts())
+    assert sum(v is not None for v in verdicts) == 436
+    assert hashlib.sha256("\n".join(map(repr, verdicts)).encode()).hexdigest() == (
+        "270668187273a4ebfddfb5c6b46dc9cc8718b0e9eaf0046f01d7a7db04f16119")
+
+
 def test_fast_verifier_matches_slow_oracle():
     rng = random.Random(19)
     agreements = 0
