@@ -377,6 +377,8 @@ def parse_trace(text: str) -> tuple[AdversaryType, InjectionTrace]:
             continue
         parts = line.split()
         if parts[0] == "adv":
+            if adv is not None:
+                raise AdversaryError(f"line {lineno}: repeated `adv` header line")
             if len(parts) != 4:
                 raise AdversaryError(f"line {lineno}: expected `adv <rho> <b> <L>`")
             try:

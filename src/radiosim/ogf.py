@@ -34,8 +34,8 @@ class OgfError(ValueError):
 
 
 class GuaranteeError(OgfError):
-    """A routing guarantee broke during a run: window fit, per-color
-    residency, queue bound or phase-2 hearing."""
+    """A routing guarantee broke: per-color residency or phase-2 hearing
+    in a round, or window fit or the queue bound over a strict run."""
 
 
 class WindowOverflowError(GuaranteeError):
@@ -181,11 +181,11 @@ class WindowStats:
 class OldGoFirst(RoutingAlgorithm):
     """The windowed transmission policy as a pluggable routing algorithm.
 
-    strict mode raises WindowOverflowError when a window's old set does
-    not fit S(n) + L'*(Delta+1) <= w; lenient mode instead truncates
-    phase 2 at the window boundary and carries leftover old tours (with
-    their current positions) into the next window's plan, which is what
-    lets the saturation experiments keep running on overloaded networks.
+    A window whose old set does not fit S(n) + L'*(Delta+1) <= w is logged
+    `truncated`: phase 2 stops at the window boundary, and leftover old
+    tours (with their current positions) carry into the next window's
+    plan.  That lets the saturation experiments run on overloaded
+    networks; strict `run_ogf` reports the first such window after the run.
 
     Planning consults the shared topology: every node runs the identical
     deterministic computation on identical gossiped knowledge, so no
@@ -218,9 +218,8 @@ class OldGoFirst(RoutingAlgorithm):
     another node or which ends here.  A payload that leaves it an unsent
     rumor sets `wake` to `memory["slot"]`; if the node slept through that
     slot, it acts in the next round, which finds its next one.  Residency
-    and the queue bound change only when a tour is injected or arrives,
-    and both wake the node, so every check still fires in the round it
-    would fire without sleeping.
+    changes only when a tour arrives, which wakes the node, so its check
+    still fires in the round it would fire without sleeping.
 
     A node scans its queue for its old tours once per window, when it
     installs the plan, and keeps them in `memory["resident"]` by color.
@@ -231,8 +230,7 @@ class OldGoFirst(RoutingAlgorithm):
     that breaks per-color residency raises there, as a fresh scan would.
     """
 
-    def __init__(self, net: Network, window_length: int, gossip: GossipConfig,
-                 strict: bool = True, queue_bound: int | None = None):
+    def __init__(self, net: Network, window_length: int, gossip: GossipConfig):
         if window_length < 1:
             raise OgfError(f"window length must be >= 1, got {window_length}")
         self.net = net
@@ -243,8 +241,6 @@ class OldGoFirst(RoutingAlgorithm):
             raise OgfError(
                 f"window length {window_length} leaves no room after "
                 f"S(n) = {self.s_n} gossip rounds")
-        self.strict = strict
-        self.queue_bound = queue_bound
         self.window_log: list[WindowStats] = []
         # (window index, rumor dict, the plan made from it); under oracle
         # gossip `_snapshot` fills the window's shared union with plan None
@@ -310,14 +306,9 @@ class OldGoFirst(RoutingAlgorithm):
         index, planned_from, plan = self._window
         if plan is None or index != window_index or rumors != planned_from:
             plan = plan_window(self.net, list(rumors.values()))
-            fits = self.s_n + plan.phase2_length <= self.w
-            if not fits and self.strict:
-                raise WindowOverflowError(
-                    f"window {window_index}: S(n) + L'*(Delta+1) = "
-                    f"{self.s_n} + {plan.l_prime}*{plan.delta + 1} > w = {self.w}")
             self.window_log.append(WindowStats(
                 window_index, len(rumors), plan.l_prime, plan.delta,
-                plan.phase2_length, not fits))
+                plan.phase2_length, self.s_n + plan.phase2_length > self.w))
             # no one mutates the recorded dict after the plan round: phase-2
             # messages carry no control, and the next snapshot assigns a new dict
             self._window = (window_index, rumors, plan)
@@ -375,11 +366,6 @@ class OldGoFirst(RoutingAlgorithm):
             # listens, so a sent action is the queue's last tour leaving
             wake = math.inf
         state.wake = wake
-
-        if self.queue_bound is not None and len(state.queue) > self.queue_bound:
-            raise GuaranteeError(
-                f"node {state.name}: queue size {len(state.queue)} exceeds "
-                f"bound {self.queue_bound}")
         return action
 
     def on_hear(self, state: NodeState, sender: int, message: Message) -> None:
@@ -426,10 +412,12 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
             window_override: int | None = None, strict: bool = True) -> OgfResult:
     """Run Old-Go-First for `horizon` rounds against the trace.
 
-    strict mode enforces the algorithm's preconditions (balanced type,
-    admissible trace) and its guarantees (window feasibility, per-color
-    residency, queue bound); every phase-2 transmission is checked to be
-    heard by its next hop in either mode.
+    Per-color residency and the hearing of every phase-2 transmission by
+    its next hop are checked in every round.  strict mode also checks the
+    preconditions (balanced type, admissible trace) before the run, and
+    after it, from the run's record, that no window was truncated and no
+    end-of-round queue exceeds floor(2*rho*w + b): a tour queued at the end
+    of round t was injected in [t - 2w + 1, t] and loads its holder.
     """
     s_n = gossip.rounds(net.n)
     u = None
@@ -446,9 +434,7 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
     if w is None:
         raise OgfError("window override is required when the type is not balanced")
 
-    # queue sizes are integers, so compare them with the bound's floor
-    queue_bound = math.floor(2 * (adv.rho * w + adv.b)) if strict else None
-    alg = OldGoFirst(net, w, gossip, strict=strict, queue_bound=queue_bound)
+    alg = OldGoFirst(net, w, gossip)
 
     def soundness(round_no: int, sending, outcome) -> None:
         for v, msg in sending.items():
@@ -464,6 +450,18 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
                     f"was not heard by its next hop {nxt} ({out!r})")
 
     metrics = engine.run(net, alg, trace, horizon, observer=soundness)
+    if strict:
+        for stats in alg.window_log:
+            if stats.truncated:
+                raise WindowOverflowError(
+                    f"window {stats.index}: S(n) + L'*(Delta+1) = "
+                    f"{s_n} + {stats.l_prime}*{stats.delta + 1} > w = {w}")
+        p, q = adv.rho.numerator, adv.rho.denominator
+        bound = (2 * p * w + adv.b * q) // q  # floor(2*rho*w + b)
+        for r, size in enumerate(metrics.max_queue_per_round, start=1):
+            if size > bound:
+                raise GuaranteeError(
+                    f"round {r}: largest queue {size} exceeds bound {bound}")
     # rounds 1..horizon whose window offset is >= S(n), per node
     plan_rounds = horizon // w * (w - s_n) + max(0, horizon % w - s_n)
     return OgfResult(metrics=metrics, u=u, s_n=s_n, w=w,

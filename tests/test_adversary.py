@@ -552,3 +552,5 @@ def test_trace_parse_errors():
         parse_trace("adv 1/2 1\n")
     with pytest.raises(AdversaryError, match="line 1"):
         parse_trace("adv 1/0 1 1\n")
+    with pytest.raises(AdversaryError, match="line 3: repeated `adv` header"):
+        parse_trace("adv 1/8 1 2\nt 1 1 1 2\nadv 1/2 3 3\n")

@@ -389,11 +389,13 @@ def test_verify_trace_flags_stretch(tmp_path, capsys):
 
 def test_verify_trace_parse_error(tmp_path, capsys):
     tracefile = tmp_path / "trace.txt"
-    tracefile.write_text("garbage\n")
-    assert run_cli("verify-trace", "--network", "gen:path:3",
-                   "--trace", str(tracefile)) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for text in ("garbage\n", "adv 1/8 1 2\nt 1 1 1 2\nadv 1/2 3 3\n"):
+        tracefile.write_text(text)
+        assert run_cli("verify-trace", "--network", "gen:path:3",
+                       "--trace", str(tracefile)) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- gossip-check

@@ -141,8 +141,6 @@ DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "conflict.parse_tour_line(lineno)",
     "engine.run(observer)",
-    "ogf.OldGoFirst.__init__(queue_bound)",
-    "ogf.OldGoFirst.__init__(strict)",
     "ogf.run_ogf(strict)",
     "ogf.run_ogf(window_override)",
 }
@@ -163,8 +161,7 @@ def test_defaulted_parameters_are_pinned():
 
 # Old-Go-First's per-window state is one record, `_window`; a new cache or
 # counter kept on the algorithm shows here
-OGF_ATTRIBUTES = {"net", "w", "gossip", "s_n", "strict", "queue_bound",
-                  "window_log", "_window"}
+OGF_ATTRIBUTES = {"net", "w", "gossip", "s_n", "window_log", "_window"}
 
 
 def test_old_go_first_attributes_are_pinned():

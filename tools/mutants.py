@@ -4,7 +4,8 @@ A mutant changes one site of one module:
   - a comparison operator to its neighbour (< <=, > >=, == !=, is / is not,
     in / not in, each way);
   - an integer constant c to c + 1;
-  - a binary or augmented + to -, and - to +.
+  - a binary or augmented + to -, and - to +;
+  - a call to the builtin min to max, and max to min.
 Constants inside f-strings are skipped: they only shape messages.
 
 The sites of the named modules are listed in source order, and
@@ -64,6 +65,7 @@ COMPARE = {ast.Lt: (r"<(?!=)", "<="), ast.LtE: (r"<=", "<"),
            ast.Is: (r"\bis\b(?!\s+not\b)", "is not"), ast.IsNot: (r"\bis\s+not\b", "is"),
            ast.In: (r"(?<!not )\bin\b", "not in"), ast.NotIn: (r"\bnot\s+in\b", "in")}
 ARITH = {ast.Add: (r"\+", "-"), ast.Sub: (r"-", "+")}
+SWAPPED_CALLS = {"min": "max", "max": "min"}
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,12 @@ def sites(module: str, source: bytes) -> list[Mutant]:
                              at(child.lineno, child.col_offset),
                              at(child.end_lineno, child.end_col_offset),
                              str(child.value + 1).encode())
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id in SWAPPED_CALLS):
+                f = child.func
+                yield Mutant(module, inner, child.lineno, at(f.lineno, f.col_offset),
+                             at(f.end_lineno, f.end_col_offset),
+                             SWAPPED_CALLS[f.id].encode())
             yield from visit(child, inner)
 
     original = ast.dump(tree)
