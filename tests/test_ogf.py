@@ -457,6 +457,21 @@ def test_next_hop_of_a_heard_tour_wakes_and_makes_it_resident(monkeypatch):
     assert [(d.tour_id, d.delivered) for d in metrics.deliveries] == [(1, 34)]
 
 
+def test_queue_bound_accepts_its_floor_and_rejects_one_tour_above(monkeypatch):
+    net = make_path(4)
+    adv = _adv(1, 8, 1, 2)
+    w = compute_window_bound(adv, 12)
+    bound = 2 * adv.rho * w + adv.b
+    assert bound != math.floor(bound)
+    sizes = [math.floor(bound)]
+    monkeypatch.setattr(ogf.engine, "run", lambda *args, **kwargs:
+                        engine.Metrics(max_queue_per_round=list(sizes)))
+    run_ogf(net, adv, GossipConfig.tdma(), InjectionTrace((), 0), 1)
+    sizes.append(math.floor(bound) + 1)
+    with pytest.raises(ogf.GuaranteeError, match="round 2: .* exceeds bound"):
+        run_ogf(net, adv, GossipConfig.tdma(), InjectionTrace((), 0), 2)
+
+
 @pytest.mark.parametrize("adv, window", [
     (_adv(1, 8, 1, 2), None), (_adv(1, 8, 1, 2), 40), (_adv(1, 4, 2, 2), None),
     (_adv(3, 10, 3, 3), 500), (_adv(1, 3, 1, 1), None), (_adv(2, 7, 4, 1), 101),
