@@ -41,6 +41,6 @@ print(f"\ninjected {m.injected_total}, delivered {m.delivered_total}, "
 hist = Counter(d.latency // 10 * 10 for d in m.deliveries)
 for bucket in sorted(hist):
     print(f"  latency {bucket:>3}-{bucket + 9:>3}: {'#' * hist[bucket]}")
+# strict run_ogf raises GuaranteeError for a latency above 2u
 print(f"\nmax latency {m.max_latency} <= {2 * u} = 2u  "
       f"({res.invariant_checks} per-round residency checks, all clean)")
-assert m.max_latency is not None and m.max_latency <= 2 * u

@@ -212,7 +212,7 @@ def format_tour(tour: Tour) -> str:
     return f"t {tour.id} {tour.injection_round} " + " ".join(map(str, tour.path))
 
 
-def parse_tour_line(line: str, lineno: int = 0) -> Tour:
+def parse_tour_line(line: str, lineno: int) -> Tour:
     parts = line.split()
     if len(parts) < 5 or parts[0] != "t":
         raise TourError(f"line {lineno}: expected `t <id> <round> <v1> <v2> ...`")

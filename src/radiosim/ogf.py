@@ -35,7 +35,7 @@ class OgfError(ValueError):
 
 class GuaranteeError(OgfError):
     """A routing guarantee broke: per-color residency or phase-2 hearing
-    in a round, or window fit or the queue bound over a strict run."""
+    in a round, or window fit, 2w latency or the queue bound over a strict run."""
 
 
 class WindowOverflowError(GuaranteeError):
@@ -415,9 +415,10 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
     Per-color residency and the hearing of every phase-2 transmission by
     its next hop are checked in every round.  strict mode also checks the
     preconditions (balanced type, admissible trace) before the run, and
-    after it, from the run's record, that no window was truncated and no
-    end-of-round queue exceeds floor(2*rho*w + b): a tour queued at the end
-    of round t was injected in [t - 2w + 1, t] and loads its holder.
+    after it, from the run's record and in this order: no window was
+    truncated, no tour took over 2w rounds (to delivery, or undelivered to
+    the horizon), and no end-of-round queue exceeds floor(2*rho*w + b), as
+    a tour queued at the end of round t was injected in [t - 2w + 1, t].
     """
     s_n = gossip.rounds(net.n)
     u = None
@@ -456,6 +457,15 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
                 raise WindowOverflowError(
                     f"window {stats.index}: S(n) + L'*(Delta+1) = "
                     f"{s_n} + {stats.l_prime}*{stats.delta + 1} > w = {w}")
+        for d in metrics.deliveries:
+            if d.latency > 2 * w:
+                raise GuaranteeError(
+                    f"tour {d.tour_id}: latency {d.latency} exceeds 2w = {2 * w}")
+        delivered = {d.tour_id for d in metrics.deliveries}
+        for f in trace.injections:
+            if f.id not in delivered and horizon - f.injection_round > 2 * w:
+                raise GuaranteeError(f"tour {f.id}: undelivered at horizon {horizon}, "
+                                     f"over 2w = {2 * w} rounds after injection")
         p, q = adv.rho.numerator, adv.rho.denominator
         bound = (2 * p * w + adv.b * q) // q  # floor(2*rho*w + b)
         for r, size in enumerate(metrics.max_queue_per_round, start=1):

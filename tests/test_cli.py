@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from radiosim import (Metrics, coloring, engine, format_network, format_trace,
-                      format_tour, make_path, ogf, validate_tour)
+from radiosim import (Metrics, coloring, conflict, engine, format_network,
+                      format_trace, format_tour, make_path, ogf, validate_tour)
 from radiosim.engine import Delivery
 from radiosim.cli import (EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, derive_seed,
                           load_network, main)
@@ -116,6 +116,22 @@ def test_sls_over_brute_force_cap_prints_nothing_before_its_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: brute force capped at 10 tours, got 11\n"
+
+
+def test_sls_over_brute_force_cap_draws_no_tour(monkeypatch, capsys):
+    built = []
+    real = conflict.Tour
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conflict, "Tour", counted)
+    code = run_cli("sls", "--network", "gen:clique:3", "--gen-tours", "1000")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: brute force capped at 10 tours, got 1000\n"
+    assert built == []
 
 
 def test_sls_rejects_multilink_tours(tmp_path, capsys):
@@ -421,20 +437,20 @@ def test_gossip_check_one_node(tmp_path, capsys):
 
 
 def _late_delivery(real):
-    def run_ogf(*args, **kwargs):
-        result = real(*args, **kwargs)
-        late = 2 * result.w + 1
-        result.metrics.deliveries.append(Delivery(0, 1, 1 + late, late, 1))
-        return result
-    return run_ogf
+    def run(net, alg, *args, **kwargs):
+        metrics = real(net, alg, *args, **kwargs)
+        late = 2 * alg.w + 1
+        metrics.deliveries.append(Delivery(0, 1, 1 + late, late, 1))
+        return metrics
+    return run
 
 
 def _no_delivery(real):
-    def run_ogf(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.metrics.deliveries.clear()
-        return result
-    return run_ogf
+    def run(*args, **kwargs):
+        metrics = real(*args, **kwargs)
+        metrics.deliveries.clear()
+        return metrics
+    return run
 
 
 def _dropped_rumor(real):
@@ -452,9 +468,11 @@ OGF_ARGV = ["ogf", "--network", "gen:path:4", "--adv", "1/8:1:2"]
     (["instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
       "--intervals", "60"], engine, "run", lambda real: lambda *a, **k: Metrics(),
      r"FAIL: measured backlog 0 below proof bound 19"),
-    (OGF_ARGV, ogf, "run_ogf", _late_delivery, r"FAIL: 1 deliveries above 2u = \d+"),
-    (OGF_ARGV, ogf, "run_ogf", _no_delivery,
-     r"FAIL: tours \[1, [\d, ]+\] undelivered after 2u = \d+ rounds"),
+    (OGF_ARGV, engine, "run", _late_delivery,
+     r"FAIL during run: tour 0: latency \d+ exceeds 2w = \d+"),
+    (OGF_ARGV, engine, "run", _no_delivery,
+     r"FAIL during run: tour 1: undelivered at horizon \d+, "
+     r"over 2w = \d+ rounds after injection"),
     (["gossip-check", "--network", "gen:path:5"], ogf, "tdma_gossip",
      _dropped_rumor, r"missing rumors: \{1: \[5\]\}"),
 ], ids=["instability-below-bound", "ogf-late", "ogf-undelivered",

@@ -340,13 +340,13 @@ def test_tour_text_round_trip():
     tour = Tour(7, 12, (3, 2, 1))
     line = format_tour(tour)
     assert line == "t 7 12 3 2 1"
-    assert parse_tour_line(line) == tour
+    assert parse_tour_line(line, 1) == tour
 
 
 def test_tour_parse_errors():
-    with pytest.raises(TourError, match="^line 0: expected "):
-        parse_tour_line("t 1 2 3")  # too short, with no line number given
+    with pytest.raises(TourError, match="^line 4: expected "):
+        parse_tour_line("t 1 2 3", 4)  # too short
     with pytest.raises(TourError):
-        parse_tour_line("x 1 2 3 4")
+        parse_tour_line("x 1 2 3 4", 1)
     with pytest.raises(TourError):
-        parse_tour_line("t one 2 3 4")
+        parse_tour_line("t one 2 3 4", 1)

@@ -511,6 +511,68 @@ def test_strict_run_passes_a_trace_that_meets_the_queue_bound():
     assert res.metrics.delivered_total == 3
 
 
+def _recorded(monkeypatch, metrics):
+    """Strict and lenient run_ogf on path 4 under TDMA at 1/8:1:2, w = u,
+    judging `metrics` as the engine's record of the run."""
+    monkeypatch.setattr(ogf.engine, "run", lambda *args, **kwargs: metrics)
+    adv = _adv(1, 8, 1, 2)
+    w = compute_window_bound(adv, 12)
+
+    def judge(trace, horizon, strict=True):
+        return run_ogf(make_path(4), adv, GossipConfig.tdma(), trace, horizon,
+                       window_override=None if strict else w, strict=strict)
+    return w, judge
+
+
+def test_latency_bound_accepts_2w_and_rejects_one_round_more(monkeypatch):
+    metrics = engine.Metrics()
+    w, judge = _recorded(monkeypatch, metrics)
+    metrics.deliveries.append(engine.Delivery(5, 1, 1 + 2 * w, 2 * w, 1))
+    judge(InjectionTrace((), 0), 1)
+    metrics.deliveries.append(engine.Delivery(6, 2, 3 + 2 * w, 2 * w + 1, 1))
+    with pytest.raises(ogf.GuaranteeError) as exc:
+        judge(InjectionTrace((), 0), 1)
+    assert str(exc.value) == f"tour 6: latency {2 * w + 1} exceeds 2w = {2 * w}"
+
+
+def test_undelivered_tour_passes_at_2w_old_and_raises_one_round_later(monkeypatch):
+    w, judge = _recorded(monkeypatch, engine.Metrics())
+    trace = InjectionTrace((Tour(3, 2, (1, 2, 3)),), 2)
+    judge(trace, 2 + 2 * w)
+    with pytest.raises(ogf.GuaranteeError) as exc:
+        judge(trace, 3 + 2 * w)
+    assert str(exc.value) == (f"tour 3: undelivered at horizon {3 + 2 * w}, "
+                              f"over 2w = {2 * w} rounds after injection")
+    # a delivered tour is not undelivered, however old it is at the horizon
+    w, judge = _recorded(monkeypatch, engine.Metrics(
+        deliveries=[engine.Delivery(3, 2, 4, 2, 2)]))
+    judge(trace, 3 + 2 * w)
+
+
+def test_latency_is_judged_before_age_and_the_queue_bound(monkeypatch):
+    # the record breaks the queue bound, tour 3 is overdue, and then tour 6
+    # is late as well: each error names the earliest broken check
+    metrics = engine.Metrics(max_queue_per_round=[100])
+    w, judge = _recorded(monkeypatch, metrics)
+    with pytest.raises(ogf.GuaranteeError, match="exceeds bound"):
+        judge(InjectionTrace((), 0), 1)
+    trace = InjectionTrace((Tour(3, 1, (1, 2, 3)),), 1)
+    with pytest.raises(ogf.GuaranteeError, match="^tour 3: undelivered"):
+        judge(trace, 2 + 2 * w)
+    metrics.deliveries.append(engine.Delivery(6, 1, 2 + 2 * w, 2 * w + 1, 1))
+    with pytest.raises(ogf.GuaranteeError, match="^tour 6: latency"):
+        judge(trace, 2 + 2 * w)
+
+
+def test_lenient_run_judges_neither_latency_nor_age(monkeypatch):
+    metrics = engine.Metrics(max_queue_per_round=[100])
+    w, judge = _recorded(monkeypatch, metrics)
+    metrics.deliveries.append(engine.Delivery(5, 1, 2 + 2 * w, 2 * w + 1, 1))
+    trace = InjectionTrace((Tour(3, 1, (1, 2, 3)),), 1)
+    res = judge(trace, 2 + 4 * w, strict=False)
+    assert res.w == w and res.metrics.max_latency == 2 * w + 1
+
+
 # ---------------------------------------------------------------- runs
 
 

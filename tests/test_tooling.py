@@ -139,7 +139,6 @@ def test_public_names_are_pinned():
 DEFAULTED_PARAMETERS = {
     "adversary.gen_balanced(attempts_per_round)",
     "cli.main(argv)",
-    "conflict.parse_tour_line(lineno)",
     "engine.run(observer)",
     "ogf.run_ogf(strict)",
     "ogf.run_ogf(window_override)",

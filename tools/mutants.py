@@ -5,7 +5,9 @@ A mutant changes one site of one module:
     in / not in, each way);
   - an integer constant c to c + 1;
   - a binary or augmented + to -, and - to +;
-  - a call to the builtin min to max, and max to min.
+  - a call to the builtin min to max, and max to min;
+  - the test of an `if`, `while` or conditional expression that is a bare
+    name, attribute, call or subscript (`if strict:`) to `not (...)`.
 Constants inside f-strings are skipped: they only shape messages.
 
 The sites of the named modules are listed in source order, and
@@ -66,6 +68,8 @@ COMPARE = {ast.Lt: (r"<(?!=)", "<="), ast.LtE: (r"<=", "<"),
            ast.In: (r"(?<!not )\bin\b", "not in"), ast.NotIn: (r"\bnot\s+in\b", "in")}
 ARITH = {ast.Add: (r"\+", "-"), ast.Sub: (r"-", "+")}
 SWAPPED_CALLS = {"min": "max", "max": "min"}
+BRANCHES = (ast.If, ast.While, ast.IfExp)
+BARE_TESTS = (ast.Name, ast.Attribute, ast.Call, ast.Subscript)
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,11 @@ def sites(module: str, source: bytes) -> list[Mutant]:
                 yield Mutant(module, inner, child.lineno, at(f.lineno, f.col_offset),
                              at(f.end_lineno, f.end_col_offset),
                              SWAPPED_CALLS[f.id].encode())
+            elif isinstance(child, BRANCHES) and isinstance(child.test, BARE_TESTS):
+                t = child.test
+                start, end = at(t.lineno, t.col_offset), at(t.end_lineno, t.end_col_offset)
+                yield Mutant(module, inner, t.lineno, start, end,
+                             b"not (" + source[start:end] + b")")
             yield from visit(child, inner)
 
     original = ast.dump(tree)
