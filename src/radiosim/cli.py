@@ -197,6 +197,8 @@ def cmd_instability(args) -> int:
     gossip = parse_gossip(args.gossip)
     if args.window < 0:
         raise ogf.OgfError(f"--window must be >= 0, got {args.window}")
+    if args.intervals < 1:
+        raise ogf.OgfError(f"--intervals must be >= 1, got {args.intervals}")
     horizon = args.intervals * args.t
     net, trace = adversary.gen_unbalanced_clique(adv, args.n, args.t, horizon)
 

@@ -24,9 +24,11 @@ set it.  A node that never sets `wake` acts in every round.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
-import operator
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, NoReturn
 
 from .conflict import Tour, validate_tour
@@ -184,17 +186,40 @@ class RoutingAlgorithm:
         pass
 
 
-_INJECTION_ORDER = operator.attrgetter("injection_round", "id")  # oldest first
-
-
 class RoundRobin(RoutingAlgorithm):
     """Baseline: in round r the node (r mod n) + 1 transmits its oldest
-    queued tour.  One global transmitter per round, hence collision-free."""
+    queued tour, the least by (injection round, id).  One global
+    transmitter per round, hence collision-free.
+
+    Node v acts only in its own slot, the rounds r with r mod n = v - 1.
+    Called outside it, the node sleeps to its next slot; at its slot it
+    sleeps to the slot after (r + n) once it sends, and to `math.inf` when
+    its queue is empty, until a tour joins its queue.
+
+    Its unsent tours wait in a heap in `memory["heap"]`, keyed by
+    (injection round, id).  A round-robin queue changes in two ways only:
+    tours join at its end, by injection or arrival, and the tour the node
+    sends leaves it in the round it is sent, since the node is that round's
+    only transmitter and its next hop listens.  So the queue holds the
+    heap's tours followed by those that joined since the last send, and at
+    its slot the node pushes the newest len(queue) - len(heap) entries
+    before it pops the oldest tour.
+    """
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
-        if state.name != (round_no % state.n) + 1 or not state.queue:
+        slot = round_no + (state.name - 1 - round_no) % state.n
+        if slot != round_no:
+            state.wake = slot
             return LISTEN
-        return Message(tour=min(state.queue.values(), key=_INJECTION_ORDER))
+        queue = state.queue
+        if not queue:
+            state.wake = math.inf
+            return LISTEN
+        heap = state.memory.setdefault("heap", [])
+        for tour in islice(reversed(queue.values()), len(queue) - len(heap)):
+            heapq.heappush(heap, (tour.injection_round, tour.id, tour))
+        state.wake = round_no + state.n
+        return Message(tour=heapq.heappop(heap)[2])
 
 
 @dataclass(frozen=True, slots=True)

@@ -336,11 +336,13 @@ def test_ogf_malformed_option_is_usage_error(option, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("option", [("--gossip", "junk"), ("--window", "-3")],
-                         ids=["gossip", "window"])
+@pytest.mark.parametrize("option", [("--gossip", "junk"), ("--window", "-3"),
+                                    ("--intervals", "0"), ("--intervals", "-3")],
+                         ids=["gossip", "window", "intervals-0", "intervals-neg"])
 @pytest.mark.parametrize("algorithm", ["round-robin", "ogf"])
 def test_instability_malformed_option_is_usage_error(algorithm, option, capsys):
-    # round-robin uses neither option, and still rejects a malformed one
+    # round-robin uses neither --gossip nor --window, and still rejects a
+    # malformed one
     code = run_cli("instability", "--adv", "1/2:1:3", "--n", "6", "--t", "2",
                    "--intervals", "5", "--algorithm", algorithm, *option)
     assert code == EXIT_USAGE

@@ -90,8 +90,8 @@ ARGV = st.one_of(
         "--adv": UNBALANCED,
         "--n": (st.integers(5, MAX_N).map(str), st.sampled_from(["-1", "1", "x"])),
         "--t": (st.just(str(t)), st.sampled_from(["0", "-1", "x"])),
-        "--intervals": (st.integers(0, MAX_HORIZON // t).map(str),
-                        st.sampled_from(["-1", "x"])),
+        "--intervals": (st.integers(1, MAX_HORIZON // t).map(str),
+                        st.sampled_from(["0", "-1", "x"])),
         "--algorithm": (st.sampled_from(["round-robin", "ogf"]),
                         st.just("flood")),
         "--window": WINDOW, "--gossip": GOSSIP})),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from radiosim import (COLLISION, LISTEN, SILENCE, AdversaryType, EngineError,
                       GossipConfig, Heard, InjectionTrace, Message, Metrics,
                       NodeState, RoundRobin, RoutingAlgorithm, Tour, TourError,
-                      compute_window_bound, engine, gen_balanced, make_clique,
-                      make_path, make_random_connected, run, run_ogf, step)
+                      compute_window_bound, engine, gen_balanced,
+                      gen_unbalanced_clique, make_clique, make_path,
+                      make_random_connected, run, run_ogf, step)
 from radiosim.engine import Delivery
 from conftest import MALFORMED_TOURS, all_connected_networks, random_simple_path
 
@@ -823,3 +825,128 @@ def test_observer_sees_every_round_and_idle_ones_share_the_silent_outcome(seed):
     assert silent == dict.fromkeys(net.nodes(), SILENCE)
     for sending, outcome in idle:
         assert sending == {} and outcome is silent
+
+
+# ---------------------------------------------------------------- round-robin
+
+
+class ScanningRoundRobin(RoutingAlgorithm):
+    """Round-robin as a plain scan, which never sleeps: the slot's node
+    sends the least queued tour by (injection round, id).  `reordered`
+    counts the sends whose tour was not the first in its queue, and
+    `empty_slots` the slots that found an empty queue."""
+
+    def __init__(self):
+        self.reordered = self.empty_slots = 0
+
+    def on_round(self, state: NodeState, round_no: int):
+        if state.name != (round_no % state.n) + 1:
+            return LISTEN
+        if not state.queue:
+            self.empty_slots += 1
+            return LISTEN
+        f = min(state.queue.values(), key=lambda f: (f.injection_round, f.id))
+        self.reordered += f is not next(iter(state.queue.values()))
+        return Message(tour=f)
+
+
+class CallLog(RoundRobin):
+    """RoundRobin that records each call as (node, round)."""
+
+    def __init__(self):
+        self.calls: list[tuple[int, int]] = []
+
+    def on_round(self, state: NodeState, round_no: int):
+        self.calls.append((state.name, round_no))
+        return super().on_round(state, round_no)
+
+
+def _saturation(seed):
+    """C3's K6 trace at 1/2:1:3, t = 2, horizon 2,000, its nodes relabelled
+    by the seeded shuffle of the saturation benchmark."""
+    horizon = 2000
+    net, trace = gen_unbalanced_clique(AdversaryType(Fraction(1, 2), 1, 3), 6, 2, horizon)
+    names = list(net.nodes())
+    random.Random(seed).shuffle(names)
+    relabel = dict(zip(net.nodes(), names))
+    tours = tuple(Tour(f.id, f.injection_round, tuple(relabel[v] for v in f.path))
+                  for f in trace.injections)
+    return net, InjectionTrace(tours, horizon), horizon
+
+
+def _round_robin_instance(seed):
+    """A seeded random network on 3 to 12 nodes and tours of up to 4 links,
+    injected in two bursts with idle rounds between and after them, so that
+    arrivals interleave with injections and slots find empty queues."""
+    rng = random.Random(seed)
+    net = make_random_connected(rng.randint(3, 12), rng.uniform(0.1, 0.6),
+                                rng.randrange(10**9))
+    horizon = 240
+    rounds = list(range(1, 41)) + list(range(121, 161))
+    tours = []
+    for _ in range(rng.randint(10, 40)):
+        path = random_simple_path(net, rng, 4)
+        if len(path) >= 2:
+            tours.append(Tour(len(tours) + 1, rng.choice(rounds), path))
+    return net, InjectionTrace(tuple(tours), horizon), horizon
+
+
+def _same_run(net, trace, horizon) -> ScanningRoundRobin:
+    scan = ScanningRoundRobin()
+    got, want = run(net, RoundRobin(), trace, horizon), run(net, scan, trace, horizon)
+    assert got.rounds_csv() == want.rounds_csv()
+    assert got.deliveries_csv() == want.deliveries_csv()
+    assert got.max_queue == want.max_queue
+    return scan
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_round_robin_matches_the_scan_on_the_saturation_trace(seed):
+    scan = _same_run(*_saturation(seed))
+    assert scan.reordered > 0
+
+
+def test_round_robin_matches_the_scan_on_random_networks():
+    reordered = empty_slots = 0
+    for seed in range(60):
+        scan = _same_run(*_round_robin_instance(seed))
+        reordered += scan.reordered
+        empty_slots += scan.empty_slots
+    # the heap's order is tested, and so is the sleep of an empty slot
+    assert reordered > 0 and empty_slots > 0
+
+
+def _check_round_robin_calls(net, trace, horizon) -> tuple[int, int]:
+    """Every call after round 1, where each node starts awake, falls in the
+    node's slot, or in a round in which a tour was injected at it or in the
+    round after one joined its queue.  Returns the numbers of calls and
+    sends."""
+    joined = {(f.source, f.injection_round) for f in trace.injections}
+    sends = 0
+
+    def observer(r, sending, outcome):
+        nonlocal sends
+        for v, message in sending.items():
+            path = message.tour.path
+            nxt = path[path.index(v) + 1]
+            if nxt != path[-1]:
+                joined.add((nxt, r + 1))
+            sends += 1
+
+    alg = CallLog()
+    run(net, alg, trace, horizon, observer=observer)
+    stray = [(v, r) for v, r in alg.calls
+             if r > 1 and r % net.n != v - 1 and (v, r) not in joined]
+    assert not stray
+    return len(alg.calls), sends
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_round_robin_acts_only_in_its_slot_or_after_a_tour_joins(seed):
+    _check_round_robin_calls(*_round_robin_instance(seed))
+
+
+def test_round_robin_call_count_on_the_saturation_trace():
+    """One call per node and slot would be 2,000; the rest follow tours
+    that joined a queue.  The scan makes 12,000 calls for the same sends."""
+    assert _check_round_robin_calls(*_saturation(1)) == (3392, 1996)

@@ -14,8 +14,12 @@ The sites of the named modules are listed in source order, and
 `random.Random(seed).sample` picks `count` of them.  Each mutant is written
 into a temporary copy of the repository (src/, tests/, demos/, perfbench/ and
 the project files), never into the working tree, and tier-1 runs there with
-`-x`, without the two slow sampled acceptance tests C6 and C7.  A mutant is
-killed when the run fails or times out, and survives when it passes.
+`-x`, without the two slow sampled acceptance tests C6 and C7.  Before any
+mutant, one clean run in the copy must pass, or the tool exits 2 without
+scoring: a suite that fails unmutated would count every mutant as killed.
+Each mutant's run then times out after four times the clean run's time, and
+at least 60 s.  A mutant is killed when the run fails or times out, and
+survives when it passes.
 
 With `--lines MODULE:FIRST-LAST` (repeatable) no sample is drawn: every site
 whose mutated text starts on those lines of that module runs, so a change can
@@ -31,7 +35,8 @@ Usage:
     python tools/mutants.py --lines engine:120-140 [--lines ...]
 
 The modules default to adversary, coloring, conflict, engine, network and
-ogf.  Exit status: 0 when no survivor lies outside the list, else 1.
+ogf.  Exit status: 0 when no survivor lies outside the list, 1 when one does,
+2 when the clean run fails.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ MODULES = ["adversary", "coloring", "conflict", "engine", "network", "ogf"]
 COPIED = ["src", "tests", "demos", "perfbench", "pyproject.toml", "BENCHMARK.json"]
 SLOW = ["tests/test_acceptance.py::test_c6_conflict_soundness_sampled",
         "tests/test_acceptance.py::test_c7_verifier_against_all_intervals_oracle"]
-TIMEOUT_S = 300
+MIN_TIMEOUT_S = 60  # a mutant's run times out after max(this, 4 x the clean run)
 MEMORY_BYTES = 2 << 30  # a mutant that allocates without end fails, not the host
 
 # each operator's source text and its mutant's, as (pattern, replacement)
@@ -188,14 +193,15 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def run_tier1(copy: Path) -> tuple[bool, str]:
-    """Tier-1 in `copy` with -x and without C6/C7: (passed, how it ended)."""
+def run_tier1(copy: Path, timeout: float | None) -> tuple[bool, str]:
+    """Tier-1 in `copy` with -x and without C6/C7, within `timeout` seconds
+    (None: no limit): (passed, how it ended)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             *(f"--deselect={test}" for test in SLOW)]
     try:
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT_S, preexec_fn=_limit_memory)
+                              text=True, timeout=timeout, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return False, "timeout"
     if proc.returncode == 0:
@@ -248,6 +254,15 @@ def main(argv=None) -> int:
                     "__pycache__", ".hypothesis", ".pytest_cache"))
             else:
                 shutil.copy(src, copy / name)
+        began = time.perf_counter()
+        passed, how = run_tier1(copy, None)
+        clean = time.perf_counter() - began
+        if not passed:
+            print(f"clean run failed in {clean:.1f}s [{how}]; no mutant scored")
+            return 2
+        timeout = max(MIN_TIMEOUT_S, 4 * clean)
+        print(f"clean run passed in {clean:.1f}s; timeout per mutant {timeout:.0f}s",
+              flush=True)
         for i, mutant in enumerate(sample, start=1):
             target = copy / PACKAGE / f"{mutant.module}.py"
             source = sources[mutant.module]
@@ -255,7 +270,7 @@ def main(argv=None) -> int:
             target.write_bytes(mutant.apply(source))
             began = time.perf_counter()
             try:
-                passed, how = run_tier1(copy)
+                passed, how = run_tier1(copy, timeout)
             finally:
                 target.write_bytes(source)
             took = time.perf_counter() - began
