@@ -21,7 +21,7 @@ from typing import Collection
 
 from .conflict import (Tour, _path_conflict_nodes, conflict_node_set, format_tour,
                        parse_tour_line, validate_tour)
-from .network import Network, make_clique
+from .network import Network, _lines, make_clique
 
 
 class AdversaryError(ValueError):
@@ -371,10 +371,7 @@ def parse_trace(text: str) -> tuple[AdversaryType, InjectionTrace]:
     """
     adv = None
     tours = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "adv":
             if adv is not None:

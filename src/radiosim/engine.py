@@ -24,9 +24,9 @@ set it.  A node that never sets `wake` acts in every round.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, NoReturn
@@ -196,14 +196,14 @@ class RoundRobin(RoutingAlgorithm):
     sleeps to the slot after (r + n) once it sends, and to `math.inf` when
     its queue is empty, until a tour joins its queue.
 
-    Its unsent tours wait in a heap in `memory["heap"]`, keyed by
+    Its unsent tours wait in `memory["unsent"]`, a list sorted by
     (injection round, id).  A round-robin queue changes in two ways only:
     tours join at its end, by injection or arrival, and the tour the node
     sends leaves it in the round it is sent, since the node is that round's
     only transmitter and its next hop listens.  So the queue holds the
-    heap's tours followed by those that joined since the last send, and at
-    its slot the node pushes the newest len(queue) - len(heap) entries
-    before it pops the oldest tour.
+    list's tours followed by those that joined since the last send, and at
+    its slot the node inserts the newest len(queue) - len(unsent) entries
+    in order before it sends the first.
     """
 
     def on_round(self, state: NodeState, round_no: int) -> Action:
@@ -215,11 +215,11 @@ class RoundRobin(RoutingAlgorithm):
         if not queue:
             state.wake = math.inf
             return LISTEN
-        heap = state.memory.setdefault("heap", [])
-        for tour in islice(reversed(queue.values()), len(queue) - len(heap)):
-            heapq.heappush(heap, (tour.injection_round, tour.id, tour))
+        unsent = state.memory.setdefault("unsent", [])
+        for tour in islice(reversed(queue.values()), len(queue) - len(unsent)):
+            insort(unsent, (tour.injection_round, tour.id, tour))
         state.wake = round_no + state.n
-        return Message(tour=heapq.heappop(heap)[2])
+        return Message(tour=unsent.pop(0)[2])
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,13 +234,16 @@ class Delivery:
 @dataclass
 class Metrics:
     """Per-run record: deliveries and per-round timelines; `max_queue` is
-    the largest end-of-round queue over all nodes and rounds."""
+    the largest end-of-round queue over all nodes and rounds.  `missed_hops`
+    holds each sent tour that its next hop did not hear, as (round, sender,
+    tour, next hop, the next hop's outcome), by round and then sender."""
 
     deliveries: list[Delivery] = field(default_factory=list)
     backlog: list[int] = field(default_factory=list)
     undelivered_hops: list[int] = field(default_factory=list)
     max_queue_per_round: list[int] = field(default_factory=list)
     injected_total: int = 0
+    missed_hops: list[tuple[int, int, Tour, int, Outcome]] = field(default_factory=list)
 
     @property
     def max_queue(self) -> int:
@@ -294,6 +297,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
         message to `on_hear`, and if the node follows the sender on a
         heard tour's path, move the tour one hop and record its delivery
         at its destination, or else queue it there and wake the node;
+        then record each sent tour whose next hop did not hear it in
+        `Metrics.missed_hops`, in node order of its sender;
     (5) settle the round, then append its backlog, undelivered hops and
         largest queue, and check conservation.
     Callbacks only act; the engine settles each round once, after the last
@@ -323,8 +328,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
 
     `observer(round, sending, outcome)` is called after step (3), in every
     round, with the message of each transmitting node and every node's
-    outcome, in node order; tests and harnesses use it to check hearing
-    guarantees without touching queues.  A silent round passes an empty
+    outcome, in node order; tests and harnesses use it to watch rounds
+    without touching queues.  A silent round passes an empty
     `sending` map and the all-SILENCE outcome that every silent round of
     the run shares, so an observer must treat the outcome as read-only.
     That outcome is the run's own dict, not the one `step` copies, so an
@@ -409,8 +414,9 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
             state = states[v]
             wake, held = state.wake, len(state.queue)
             algorithm.on_hear(state, out.sender, out.message)
-            f = out.message.tour
-            if f is not None and next_hop[out.sender] == v:
+            if next_hop.get(out.sender) == v:  # v is the heard tour's next hop
+                del next_hop[out.sender]
+                f = out.message.tour
                 del states[out.sender].queue[f.id]
                 hops -= 1
                 if v == f.path[-1]:
@@ -421,6 +427,8 @@ def run(net: Network, algorithm: RoutingAlgorithm, trace, horizon: int,
                     state.wake = 0
             if state.wake != wake or len(state.queue) != held:
                 changed.append(v)
+        for v, nxt in next_hop.items():  # sent tours their next hops missed
+            metrics.missed_hops.append((r, v, sending[v].tour, nxt, outcome[nxt]))
 
         # (5) settle the nodes that acted, or heard and changed
         for v in order + changed:

@@ -9,7 +9,7 @@ simulation runs.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class NetworkError(ValueError):
@@ -161,6 +161,15 @@ def _parse_int(token: str, lineno: int) -> int:
         raise NetworkError(f"line {lineno}: expected an integer, got {token!r}") from None
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """The text formats' records: each line that is neither blank nor a `#`
+    comment, stripped, with its line number (from 1)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_network(text: str) -> Network:
     """Parse the text format produced by format_network.
 
@@ -169,10 +178,7 @@ def parse_network(text: str) -> Network:
     """
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "n":
             if n is not None:

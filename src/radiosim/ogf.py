@@ -34,8 +34,9 @@ class OgfError(ValueError):
 
 
 class GuaranteeError(OgfError):
-    """A routing guarantee broke: per-color residency or phase-2 hearing
-    in a round, or window fit, 2w latency or the queue bound over a strict run."""
+    """A routing guarantee broke: per-color residency in a round, phase-2
+    hearing over a run, or window fit, 2w latency or the queue bound over a
+    strict run."""
 
 
 class WindowOverflowError(GuaranteeError):
@@ -412,13 +413,15 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
             window_override: int | None = None, strict: bool = True) -> OgfResult:
     """Run Old-Go-First for `horizon` rounds against the trace.
 
-    Per-color residency and the hearing of every phase-2 transmission by
-    its next hop are checked in every round.  strict mode also checks the
-    preconditions (balanced type, admissible trace) before the run, and
-    after it, from the run's record and in this order: no window was
-    truncated, no tour took over 2w rounds (to delivery, or undelivered to
-    the horizon), and no end-of-round queue exceeds floor(2*rho*w + b), as
-    a tour queued at the end of round t was injected in [t - 2w + 1, t].
+    Per-color residency is checked in every round.  After the run, in
+    either mode, the first hop in the engine's record of missed hops
+    (`Metrics.missed_hops`) raises: every phase-2 transmission must be
+    heard by its next hop.  strict mode also checks the preconditions
+    (balanced type, admissible trace, w >= u) before the run, and after
+    the hearing verdict, from the run's record and in this order: no window
+    was truncated, no tour took over 2w rounds (to delivery, or undelivered
+    to the horizon), and no end-of-round queue exceeds floor(2*rho*w + b),
+    as a tour queued at the end of round t was injected in [t - 2w + 1, t].
     """
     s_n = gossip.rounds(net.n)
     u = None
@@ -436,21 +439,14 @@ def run_ogf(net: Network, adv: AdversaryType, gossip: GossipConfig,
         raise OgfError("window override is required when the type is not balanced")
 
     alg = OldGoFirst(net, w, gossip)
-
-    def soundness(round_no: int, sending, outcome) -> None:
-        for v, msg in sending.items():
-            f = msg.tour
-            if f is None:
-                continue
-            nxt = f.path[f.path.index(v) + 1]
-            out = outcome[nxt]
-            if not (isinstance(out, engine.Heard) and out.sender == v
-                    and out.message.tour is f):
-                raise GuaranteeError(
-                    f"round {round_no}: tour {f.id} transmitted by node {v} "
-                    f"was not heard by its next hop {nxt} ({out!r})")
-
-    metrics = engine.run(net, alg, trace, horizon, observer=soundness)
+    if strict and w < u:
+        # the 2w latency argument needs (1 - rho*L)*w >= S(n) + b*L
+        raise OgfError(f"strict window must be >= u = {u}, got {w}")
+    metrics = engine.run(net, alg, trace, horizon)
+    if metrics.missed_hops:
+        r, v, f, nxt, out = metrics.missed_hops[0]
+        raise GuaranteeError(f"round {r}: tour {f.id} transmitted by node {v} "
+                             f"was not heard by its next hop {nxt} ({out!r})")
     if strict:
         for stats in alg.window_log:
             if stats.truncated:

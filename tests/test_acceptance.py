@@ -96,6 +96,7 @@ def test_c3_saturation_counting_bound():
     for name, metrics in results.items():
         final = metrics.final_backlog()
         assert final >= bound, (name, final, bound)
+        assert metrics.missed_hops == [], name  # every sent tour was heard
         # the surplus the adversary banks — undelivered hops — never shrinks
         # across interval boundaries; per-boundary packet backlog also stays
         # at or above the proof's per-interval counting bound
@@ -200,6 +201,7 @@ def test_c4_latency_bounded_by_2u(latency_matrix):
     for mr in latency_matrix:
         metrics = mr.result.metrics
         assert metrics.delivered_total > 0, mr.label
+        assert metrics.missed_hops == [], mr.label  # every sent tour was heard
         delivered_total += metrics.delivered_total
         for d in metrics.deliveries:
             assert d.latency <= 2 * mr.u, (mr.label, d)

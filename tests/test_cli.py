@@ -537,4 +537,4 @@ def test_ogf_window_below_u_is_usage_error_before_any_output(capsys):
     assert code == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: strict --window must be >= u = 19, got 16")
+    assert err.startswith("error: strict window must be >= u = 19, got 16")

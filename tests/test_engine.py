@@ -706,7 +706,8 @@ def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, i
     injected at it or queued there, call every node with wake <= r, apply
     the full `step`, and rescan every queue for the round's metrics.  It
     keeps each queued tour's path index itself, instead of deriving it from
-    the holder.  Also returns each node's largest end-of-round queue."""
+    the holder, and records a missed hop from the next hop's outcome.  Also
+    returns each node's largest end-of-round queue."""
     states = {v: NodeState(v, net.n) for v in net.nodes()}
     position: dict[int, int] = {}  # tour id -> index of its holder on its path
     metrics = Metrics()
@@ -724,7 +725,13 @@ def _reference_run(net, algorithm, trace, horizon) -> tuple[Metrics, dict[int, i
         # move before its later hearers are served
         sent_from = {a.tour.id: position[a.tour.id] for a in actions.values()
                      if a is not LISTEN and a.tour is not None}
-        for v, out in step(net, actions).items():
+        outcome = step(net, actions)
+        for v, a in actions.items():
+            if a is not LISTEN and a.tour is not None:
+                nxt = a.tour.path[sent_from[a.tour.id] + 1]
+                if not (isinstance(outcome[nxt], Heard) and outcome[nxt].sender == v):
+                    metrics.missed_hops.append((r, v, a.tour, nxt, outcome[nxt]))
+        for v, out in outcome.items():
             if not isinstance(out, Heard):
                 continue
             algorithm.on_hear(states[v], out.sender, out.message)
@@ -783,11 +790,21 @@ def _check_against_reference(sleeper, seed):
     assert got.max_queue == max(peaks.values())
     assert got.injected_total == want.injected_total == len(tours)
     assert got.delivered_total > 0
+    assert got.missed_hops == want.missed_hops
+    return got.missed_hops
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_run_matches_reference_simulator(seed):
     _check_against_reference(RandomSleeper, seed)
+
+
+def test_reference_runs_record_missed_hops():
+    """The seeded runs send tours that their next hops miss, by collision
+    or because the next hop transmits, so the record is compared on them."""
+    missed = [out for seed in range(8)
+              for _, _, _, _, out in _check_against_reference(RandomSleeper, seed)]
+    assert COLLISION in missed and SILENCE in missed
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -912,7 +929,7 @@ def test_round_robin_matches_the_scan_on_random_networks():
         scan = _same_run(*_round_robin_instance(seed))
         reordered += scan.reordered
         empty_slots += scan.empty_slots
-    # the heap's order is tested, and so is the sleep of an empty slot
+    # the sorted order is tested, and so is the sleep of an empty slot
     assert reordered > 0 and empty_slots > 0
 
 

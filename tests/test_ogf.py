@@ -680,6 +680,23 @@ def test_window_too_small_for_gossip_rejected():
                 window_override=12)
 
 
+def test_strict_window_below_u_rejected_before_the_run(monkeypatch):
+    # K6 at 1/4:1:3 under TDMA: u = 132.  The trace is admissible, and at
+    # w = 122 a window overflows, which only a lenient run may report
+    net, adv = make_clique(6), _adv(1, 4, 1, 3)
+    u = compute_window_bound(adv, GossipConfig.tdma().rounds(6))
+    assert u == 132
+    trace = gen_balanced(net, adv, 1, 10 * u, attempts_per_round=2)
+    res = run_ogf(net, adv, GossipConfig.tdma(), trace, 10 * u,
+                  window_override=122, strict=False)
+    assert any(w.truncated for w in res.windows)
+    monkeypatch.setattr(ogf.engine, "run", None)  # rejected before any round
+    with pytest.raises(OgfError) as exc:
+        run_ogf(net, adv, GossipConfig.tdma(), trace, 10 * u, window_override=122)
+    assert type(exc.value) is OgfError
+    assert str(exc.value) == "strict window must be >= u = 132, got 122"
+
+
 def test_admissible_burst_can_overflow_window_strict_raises():
     net, adv, trace = spider_burst()
     from radiosim import verify_admissible
@@ -715,10 +732,11 @@ def test_lenient_carryover_preserves_soundness_under_saturation():
     res = run_ogf(net, adv, GossipConfig.tdma(), trace, 400,
                   window_override=60, strict=False)
     # backlog grows, old sets carry over, and every phase-2 transmission
-    # is still heard (the soundness observer would have raised otherwise)
+    # is still heard
     old_counts = [w.old_count for w in res.windows]
     assert old_counts[-1] > old_counts[1]
     assert res.metrics.final_backlog() > 0
+    assert res.metrics.missed_hops == []
 
 
 @pytest.mark.parametrize("kwargs, round_no", [

@@ -50,6 +50,16 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_heapq():
+    """Round-robin keeps its unsent tours in a sorted list; importing
+    `heapq` would add to every process's peak memory."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, radiosim; print('heapq' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_no_assert_in_src():
     """Guarantees must survive `python -O`, which strips assert statements."""
     found = [f"{scope}:{node.lineno}" for scope, node in _scoped_nodes()
